@@ -257,16 +257,19 @@ int main(int argc, char** argv)
     autoscale_config.service = &service;
     rt::Autoscaler<Frame> autoscaler{pipeline, live_chain, {0, 3}, autoscale_config};
 
+    // Feeds are issued from the output thread, so both land mid-segment by
+    // construction: a grow a quarter into the stream, a shrink at half.
     std::uint64_t delivered = 0;
-    rt::RunResult run;
-    std::thread runner{[&] { run = pipeline.run(frames, [&](Frame&) { ++delivered; }); }};
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-    (void)autoscaler.feed(1.5, 1);
-    (void)autoscaler.feed(1.5, 2); // grow lands mid-segment
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-    (void)autoscaler.feed(0.1, 3);
-    (void)autoscaler.feed(0.1, 4); // shrink lands mid-segment
-    runner.join();
+    const rt::RunResult run = pipeline.run(frames, [&](Frame&) {
+        ++delivered;
+        if (delivered == frames / 4) {
+            (void)autoscaler.feed(1.5, 1);
+            (void)autoscaler.feed(1.5, 2); // grow
+        } else if (delivered == frames / 2) {
+            (void)autoscaler.feed(0.1, 3);
+            (void)autoscaler.feed(0.1, 4); // shrink
+        }
+    });
 
     const rt::AutoscalerStats live = autoscaler.stats();
     const bool live_pass = run.frames == frames && run.frames_dropped == 0

@@ -9,7 +9,7 @@
 //
 // A second scenario compares the two recovery modes on the same failure
 // script: a full pipeline rebuild (SwapPolicy::rebuild_only) against the
-// incremental plan-delta hot-swap (plan::diff + Pipeline::apply_delta).
+// incremental hot-swap between segments (Pipeline::retarget, drained).
 // The chain is built so the degraded optimum keeps the healthy stage cut,
 // making the kill delta-compatible by construction; the report shows
 // recovery latency, frames dropped and pure swap time for both modes.
@@ -17,7 +17,7 @@
 // A third scenario pushes further: an all-little chain whose degraded
 // optimum keeps the healthy cut on the SAME core types (stage 1 merely
 // resized), so the kill is resize-only and qualifies for the mid-segment
-// frame swap (Pipeline::try_apply_delta_in_flight). It compares all three
+// frame swap (Pipeline::retarget mid-segment). It compares all three
 // recovery modes -- drain + rebuild, drain + delta swap, and the in-flight
 // frame swap that never stops the stream.
 //

@@ -21,10 +21,10 @@
 //      second tenant competes for the same 4 big cores. Mid-stream the
 //      pipeline tenant's weight is raised 1 -> 3; the arbiter
 //      re-arbitrates, the budget change compiles to a resize-only plan
-//      delta and reaches the running pipeline through
-//      rt::PipelineTenantEndpoint as a frame-granular in-flight swap:
-//      no drain, no dropped frame, the spawned replica joins the live
-//      segment.
+//      change and reaches the running pipeline through
+//      rt::PipelineTenantEndpoint (one Pipeline::retarget) as a
+//      frame-granular in-flight swap: no drain, no dropped frame, the
+//      spawned replica joins the live segment.
 //
 // Flags: --horizon-ms=N virtual window of scenario 1 (default 1000),
 // --demand-util=F demand as a fraction of each tenant's fair rate
@@ -255,26 +255,25 @@ int main(int argc, char** argv)
     rt::PipelineTenantEndpoint<Frame> endpoint{pipeline};
     arbiter.bind_endpoint(live_id, &endpoint);
 
-    endpoint.set_live(true);
-    rt::RunResult run;
+    // The reweight is issued from the output thread after frame 10, so it
+    // reaches the pipeline mid-stream by construction.
+    arb::ArbitrationReport reweight;
+    int live_workers_after_swap = 0;
     std::uint64_t delivered = 0;
-    std::thread runner{[&] {
-        run = pipeline.run(frames, [&](Frame&) { ++delivered; });
-    }};
-    std::this_thread::sleep_for(std::chrono::milliseconds{10});
-
-    arbiter.set_weight(live_id, 3.0); // mid-stream upgrade: 3:1 -> 3 cores
-    const arb::ArbitrationReport reweight = arbiter.rearbitrate();
-    const int live_workers_after_swap = pipeline.live_workers();
-    runner.join();
-    endpoint.set_live(false);
+    const rt::RunResult run = pipeline.run(frames, [&](Frame&) {
+        if (++delivered != 10)
+            return;
+        arbiter.set_weight(live_id, 3.0); // mid-stream upgrade: 3:1 -> 3 cores
+        reweight = arbiter.rearbitrate();
+        live_workers_after_swap = pipeline.live_workers();
+    });
 
     const arb::TenantChange* live_change = nullptr;
     for (const arb::TenantChange& change : reweight.changes)
         if (change.id == live_id)
             live_change = &change;
     const bool frame_swapped = live_change != nullptr
-        && live_change->swap == arb::SwapKind::frame
+        && live_change->swap == plan::SwapOutcome::frame
         && reweight.frame_swaps() == 1;
     std::printf("live reweight: budget (%d b) -> (%d b), swap=%s, "
                 "%llu/%llu frames, %llu dropped, workers after swap=%d -> %s\n",

@@ -12,7 +12,7 @@ int ArbitrationReport::frame_swaps() const noexcept
 {
     int count = 0;
     for (const TenantChange& change : changes)
-        count += change.swap == SwapKind::frame ? 1 : 0;
+        count += change.swap == plan::SwapOutcome::frame ? 1 : 0;
     return count;
 }
 
@@ -20,7 +20,7 @@ int ArbitrationReport::rebuilds_required() const noexcept
 {
     int count = 0;
     for (const TenantChange& change : changes)
-        count += change.swap == SwapKind::rebuild_required ? 1 : 0;
+        count += change.swap == plan::SwapOutcome::rebuild_required ? 1 : 0;
     return count;
 }
 
@@ -292,28 +292,25 @@ ArbitrationReport Arbiter::rearbitrate_locked()
                 next = service().solve_planned(request_for(tenant, granted.budget),
                                               config_.plan_options);
             if (next.ok()) {
-                const plan::ExecutionPlan* base = tenant.endpoint != nullptr
-                    ? &tenant.endpoint->current_plan()
-                    : tenant.planned.plan.get();
-                if (base != nullptr)
-                    change.delta = plan::diff(*base, *next.plan);
+                if (tenant.planned.plan != nullptr)
+                    change.delta = plan::diff(*tenant.planned.plan, *next.plan);
                 if (tenant.endpoint != nullptr) {
-                    change.swap = tenant.endpoint->apply(*next.plan, change.delta);
+                    change.swap = tenant.endpoint->apply(*next.plan);
                     switch (change.swap) {
-                    case SwapKind::frame: ++frame_swaps; break;
-                    case SwapKind::delta: ++delta_swaps; break;
-                    case SwapKind::rebuild_required: ++rebuilds; break;
-                    default: break;
+                    case plan::SwapOutcome::frame: ++frame_swaps; break;
+                    case plan::SwapOutcome::drained: ++delta_swaps; break;
+                    case plan::SwapOutcome::rebuild_required: ++rebuilds; break;
+                    case plan::SwapOutcome::none: break;
                     }
                 } else {
-                    change.swap = SwapKind::planned;
+                    change.planned = true;
                 }
                 tenant.planned = std::move(next);
             } else {
                 // Starved out (zero or infeasible budget): drop the stale
                 // plan so status reflects "not runnable right now".
                 tenant.planned = svc::PlannedSchedule{};
-                change.swap = SwapKind::planned;
+                change.planned = true;
             }
             tenant.generation = generation_;
         }

@@ -11,15 +11,15 @@
 // water-filling on each tenant's period-vs-budget curve, probed via batched
 // solve_batch calls through the service's solution cache), solves every
 // tenant's chain on its granted budget, and pushes the resulting
-// plan::ExecutionPlan to the tenant's live executor as a hot-swap:
+// plan::ExecutionPlan to the tenant's live executor (TenantEndpoint::apply,
+// one rt::Pipeline::retarget), which reports a plan::SwapOutcome:
 //
-//   * budget unchanged            -> nothing (SwapKind::none)
-//   * resize-only delta, live     -> frame-granular in-flight swap, no drain
-//                                    (rt::Pipeline::try_apply_delta_in_flight)
-//   * compatible delta, parked    -> between-segment delta swap
-//   * incompatible (recut/rebind) -> SwapKind::rebuild_required; the new
-//                                    plan is stored in the tenant status and
-//                                    the owner rebuilds its executor from it
+//   * budget unchanged            -> nothing pushed (SwapOutcome::none)
+//   * resize-only change, live    -> frame: in-flight swap, no drain
+//   * compatible change, parked   -> drained: between-segment swap
+//   * anything else (recut, or a  -> rebuild_required; the new plan is
+//     rebind while live)             stored in the tenant status and the
+//                                    owner rebuilds its executor from it
 //
 // Tenant join / leave / weight change / chain drift mark the arbiter dirty;
 // the owner (or dsim::simulate_multi_tenant, which replays the same loop in
@@ -46,27 +46,6 @@
 
 namespace amp::arb {
 
-/// How a re-arbitrated budget reached the tenant's executor.
-enum class SwapKind : std::uint8_t {
-    none,             ///< budget unchanged; nothing recomputed or pushed
-    planned,          ///< new plan stored; no live endpoint bound
-    frame,            ///< in-flight frame-granular swap (no drain)
-    delta,            ///< between-segment delta swap
-    rebuild_required, ///< endpoint could not apply; owner must rebuild
-};
-
-[[nodiscard]] constexpr const char* to_string(SwapKind kind) noexcept
-{
-    switch (kind) {
-    case SwapKind::none: return "none";
-    case SwapKind::planned: return "planned";
-    case SwapKind::frame: return "frame";
-    case SwapKind::delta: return "delta";
-    case SwapKind::rebuild_required: return "rebuild_required";
-    }
-    return "?";
-}
-
 /// Type-erased handle to a tenant's live executor. rt::PipelineTenantEndpoint
 /// adapts rt::Pipeline<T>; tests inject fakes. Calls arrive on the thread
 /// that invoked Arbiter::rearbitrate(), serialized by the arbiter's lock.
@@ -74,14 +53,11 @@ class TenantEndpoint {
 public:
     virtual ~TenantEndpoint() = default;
 
-    /// The plan the executor currently runs (diff base for the next swap).
-    [[nodiscard]] virtual const plan::ExecutionPlan& current_plan() const = 0;
-
-    /// Applies `next` (with `delta` = diff(current_plan(), next)) and
-    /// reports how: frame, delta, or rebuild_required when the executor
-    /// cannot absorb the change live.
-    [[nodiscard]] virtual SwapKind apply(const plan::ExecutionPlan& next,
-                                         const plan::PlanDelta& delta) = 0;
+    /// Retargets the executor onto `next` and reports how it landed. The
+    /// executor diffs `next` against the plan it actually runs;
+    /// rebuild_required means it could not take the change now and is
+    /// untouched.
+    [[nodiscard]] virtual plan::SwapOutcome apply(const plan::ExecutionPlan& next) = 0;
 };
 
 struct ArbiterConfig {
@@ -120,9 +96,14 @@ struct TenantChange {
     TenantId id = 0;
     core::Resources before{};
     core::Resources after{};
-    SwapKind swap = SwapKind::none;
-    /// diff(previous plan, new plan); default-constructed (empty,
-    /// compatible) when either side is missing.
+    /// How the new plan landed on the bound endpoint; none when the budget
+    /// is unchanged or the change is only `planned`.
+    plan::SwapOutcome swap = plan::SwapOutcome::none;
+    /// The new plan was only stored: no endpoint is bound, or the tenant
+    /// starved out and its plan was dropped.
+    bool planned = false;
+    /// diff(previous plan, new plan) over the arbiter's own stored plans;
+    /// default-constructed (empty, compatible) when either side is missing.
     plan::PlanDelta delta;
 };
 

@@ -309,7 +309,7 @@ FailureSimulationResult simulate_with_failures(const core::TaskChain& chain,
             record.new_solution = next;
 
             // Would the runtime hot-swap in place? Same decision rule as
-            // run_with_recovery: plan::diff against the running plan.
+            // Pipeline::retarget: plan::diff against the running plan.
             plan::ExecutionPlan next_plan = plan::ExecutionPlan::compile(chain, next);
             const plan::PlanDelta delta = plan::diff(current_plan, next_plan);
             record.delta_applied = delta.compatible;

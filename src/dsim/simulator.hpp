@@ -136,7 +136,7 @@ struct FailureModel {
     std::optional<double> delta_swap_us{};
     /// Swap cost when the delta is additionally *resize-only* (every stage
     /// kept or resized, nothing rebound): the runtime applies it mid-segment
-    /// without draining (Pipeline::try_apply_delta_in_flight), so the stall
+    /// without draining (Pipeline::retarget's frame outcome), so the stall
     /// is the in-flight spawn cost, not a drain. Takes precedence over
     /// `delta_swap_us` when both are set and the delta qualifies. Unset =
     /// resize-only deltas are charged like any compatible delta.

@@ -32,7 +32,8 @@
 // whole-plan incompatibility (recut stage structure, different chain, queue
 // capacity or queue topology) that forces a full rebuild. apply(base, delta)
 // yields the successor plan with untouched workers keeping their ids -- the
-// substrate for rt::Pipeline's in-place hot-swap (docs/EXECUTION_PLAN.md).
+// substrate for rt::Pipeline::retarget, which reports how a change landed
+// as a SwapOutcome (docs/EXECUTION_PLAN.md).
 
 #include "core/chain.hpp"
 #include "core/solution.hpp"
@@ -144,10 +145,30 @@ struct PlanDelta {
     /// True when every stage is kept or resized -- no rebinds (and, being
     /// compatible, no recuts). Such a delta only changes per-stage replica
     /// counts, which is what qualifies it for a frame-granular in-flight
-    /// hot-swap (rt::Pipeline::try_apply_delta_in_flight): queues, stage
-    /// intervals and core-type bindings all survive untouched.
+    /// swap (SwapOutcome::frame): queues, stage intervals and core-type
+    /// bindings all survive untouched.
     [[nodiscard]] bool resize_only() const noexcept { return compatible && rebound == 0; }
 };
+
+/// How a retarget onto a new plan landed on a running executor
+/// (rt::Pipeline::retarget; arb::TenantEndpoint::apply reports the same).
+enum class SwapOutcome : std::uint8_t {
+    none,             ///< same plan; nothing changed
+    frame,            ///< resize-only change landed mid-segment, no drain
+    drained,          ///< compatible change landed between segments
+    rebuild_required, ///< executor untouched; the owner must rebuild it
+};
+
+[[nodiscard]] constexpr const char* to_string(SwapOutcome outcome) noexcept
+{
+    switch (outcome) {
+    case SwapOutcome::none: return "none";
+    case SwapOutcome::frame: return "frame";
+    case SwapOutcome::drained: return "drained";
+    case SwapOutcome::rebuild_required: return "rebuild_required";
+    }
+    return "?";
+}
 
 /// Validated, immutable execution plan. Copyable; a copy is an independent
 /// plan with the same worker ids.

@@ -13,7 +13,7 @@
 //     (Pipeline::set_monitor_hook, watchdog thread), re-solves the changed
 //     budget through the warm-start solver (core::WarmStart -- a resize
 //     re-solve reuses the retained DP frontier), and lands the resulting
-//     resize-only delta mid-segment via try_apply_delta_in_flight. An
+//     plan with one Pipeline::retarget (mid-segment: a frame swap). An
 //     on_resize callback lets arb::Arbiter tenants return freed cores to
 //     the shared pool (Arbiter::set_quota).
 //
@@ -218,19 +218,20 @@ struct AutoscalerStats {
     std::uint64_t samples = 0;     ///< utilization windows fed
     std::uint64_t grows = 0;       ///< grow actions landed on the pipeline
     std::uint64_t shrinks = 0;     ///< shrink actions landed
-    std::uint64_t frame_swaps = 0; ///< landed via try_apply_delta_in_flight
+    std::uint64_t frame_swaps = 0; ///< landed mid-segment (SwapOutcome::frame)
     std::uint64_t noop_resizes = 0; ///< budget adopted, plan unchanged
     std::uint64_t warm_solves = 0; ///< re-solves that skipped the cold DP (warm or cache hit)
     std::uint64_t clamped = 0;     ///< decisions absorbed by min/max clamps
-    std::uint64_t declined = 0;    ///< swaps the pipeline declined
+    std::uint64_t declined = 0;    ///< retargets that reported rebuild_required
     std::uint64_t infeasible = 0;  ///< targets admitting no schedule
 };
 
 struct AutoscalerConfig {
     AutoscalePolicy policy{};
-    /// How scale actions may land. frame_first (the default) is the only
-    /// policy that lands while a segment is in flight; stricter policies
-    /// decline live swaps (counted, pipeline untouched).
+    /// How scale actions may land (Pipeline::retarget). frame_first (the
+    /// default) is the only policy that lands while a segment is in
+    /// flight; stricter policies decline live swaps (counted, pipeline
+    /// untouched).
     SwapPolicy swap = SwapPolicy::frame_first;
     /// Solver service re-solves go through (null = svc::shared_service()).
     svc::SolverService* service = nullptr;
@@ -259,13 +260,13 @@ public:
         , config_(std::move(config))
         , controller_(config_.policy)
     {
-        // Autoscaling re-solves the chain as one linear pipeline and lands
-        // the delta on the wrapped plan. A DAG plan's stage cut never
-        // matches such a candidate (plan::diff would reject every delta as
-        // a queue-topology change), so refuse up front instead of silently
+        // Autoscaling re-solves the chain as one linear pipeline and
+        // retargets the wrapped pipeline onto it. A DAG plan's stage cut
+        // never matches such a candidate (every retarget would report a
+        // queue-topology change), so refuse up front instead of silently
         // declining every resize. Graph plans rescale through
         // svc::schedule_graph + a new Pipeline.
-        if (!pipeline_->execution_plan().linear())
+        if (!pipeline_->execution_plan()->linear())
             throw std::invalid_argument{
                 "Autoscaler: the pipeline runs a DAG plan; autoscaling "
                 "requires a linear (single-branch) plan"};
@@ -356,8 +357,8 @@ public:
     }
 
 private:
-    /// Re-solves `target` warm, diffs against the live plan, and lands the
-    /// delta under the configured SwapPolicy. Called under mutex_.
+    /// Re-solves `target` warm and retargets the pipeline onto the result
+    /// under the configured SwapPolicy. Called under mutex_.
     bool resize_locked(core::Resources target)
     {
         core::ScheduleRequest request{chain_, target, core::Strategy::herad, config_.options};
@@ -368,7 +369,7 @@ private:
         svc::SolverService& service =
             config_.service != nullptr ? *config_.service : svc::shared_service();
         svc::PlannedSchedule planned =
-            service.solve_planned(request, pipeline_->execution_plan().options());
+            service.solve_planned(request, pipeline_->execution_plan()->options());
         if (!planned.result.ok() || planned.plan == nullptr) {
             ++stats_.infeasible;
             return false;
@@ -381,24 +382,18 @@ private:
         if (planned.result.warm_start || planned.result.cache_hit)
             ++stats_.warm_solves;
 
-        const plan::PlanDelta delta = plan::diff(pipeline_->execution_plan(), *planned.plan);
-        if (delta.empty()) {
+        switch (pipeline_->retarget(*planned.plan, config_.swap, config_.reclaim_timeout)) {
+        case plan::SwapOutcome::none:
             // The changed budget buys (or costs) nothing schedulable --
             // adopt it without touching the pipeline. A shrink hands the
             // idle core back (on_resize tells the arbiter); a grow stops
             // repeating once the clamp is reached.
-            current_ = target;
             ++stats_.noop_resizes;
-            if (config_.on_resize)
-                config_.on_resize(target);
-            return true;
+            break;
+        case plan::SwapOutcome::frame: ++stats_.frame_swaps; break;
+        case plan::SwapOutcome::drained: break;
+        case plan::SwapOutcome::rebuild_required: ++stats_.declined; return false;
         }
-        if (config_.swap != SwapPolicy::frame_first || !delta.resize_only()
-            || !pipeline_->try_apply_delta_in_flight(delta, config_.reclaim_timeout)) {
-            ++stats_.declined;
-            return false;
-        }
-        ++stats_.frame_swaps;
         current_ = target;
         if (config_.on_resize)
             config_.on_resize(target);

@@ -20,22 +20,20 @@
 //
 // Workers are persistent: threads are spawned once (lazily, on the first
 // run) and parked on an epoch condition variable between stream segments,
-// so run() can be called repeatedly -- and, after a degraded run,
-// apply_delta() hot-swaps the pipeline in place: untouched stages keep
-// their threads and queues alive; only the workers a plan::PlanDelta names
-// are spawned or retired, and rebound stages just re-read their core-type
-// binding at the next segment. An incompatible delta (recut stage
-// structure) requires constructing a new Pipeline (docs/EXECUTION_PLAN.md).
-//
-// Resize-only deltas (PlanDelta::resize_only(): every stage kept or
-// resized, nothing rebound) go one step further: try_apply_delta_in_flight
-// applies them at a frame boundary *without draining the stream*. Queues
-// and untouched stages survive; spawned workers enter the current epoch
-// and start pulling frames immediately; retired workers finish their
-// in-flight frame and park. A loss handler (set_loss_handler) installed by
-// run_with_recovery turns a watchdog fence into such an in-flight swap,
-// which is what cuts recovery latency below the drain time
-// (docs/FAULT_MODEL.md).
+// so run() can be called repeatedly. retarget() re-maps the pipeline onto
+// a new plan in place (docs/EXECUTION_PLAN.md §3): it diffs the target
+// against the running plan under the swap lock and lands the change --
+// untouched stages keep their threads and queues; only the workers the
+// plan::PlanDelta names are spawned or retired. Between segments any
+// compatible change lands (rebinds included). While a segment is in flight
+// only resize-only changes land, at a frame boundary *without draining the
+// stream*: spawned workers enter the current epoch and start pulling
+// frames immediately; retired workers finish their in-flight frame and
+// exit. Anything else -- a recut, a rebind mid-segment -- is reported as
+// SwapOutcome::rebuild_required with the pipeline untouched. A loss handler
+// (set_loss_handler) installed by run_with_recovery turns a watchdog fence
+// into such an in-flight swap, which is what cuts recovery latency below
+// the drain time (docs/FAULT_MODEL.md).
 //
 // Fault tolerance (docs/FAULT_MODEL.md): every worker maintains a heartbeat
 // that it refreshes whenever it makes progress or wakes from a bounded wait.
@@ -185,6 +183,35 @@ struct RunResult {
     }
 };
 
+/// How far Pipeline::retarget may go. One ladder shared by
+/// run_with_recovery, the arbiter's pipeline endpoint
+/// (rt::PipelineTenantEndpoint) and the autoscaler (rt::Autoscaler); the
+/// outcome table is in docs/EXECUTION_PLAN.md §3.2. Each level includes
+/// everything below it.
+enum class SwapPolicy : std::uint8_t {
+    /// Never mutate a built pipeline: every change reports rebuild_required
+    /// (the owner drains, tears down and rebuilds).
+    rebuild_only,
+    /// Land compatible changes between segments (untouched stages keep
+    /// their threads and queues); a run in progress reports
+    /// rebuild_required.
+    delta,
+    /// Also land *resize-only* changes mid-segment without draining:
+    /// replacement workers join the live stream at the next frame
+    /// boundary. The default.
+    frame_first,
+};
+
+[[nodiscard]] constexpr const char* to_string(SwapPolicy policy) noexcept
+{
+    switch (policy) {
+    case SwapPolicy::rebuild_only: return "rebuild_only";
+    case SwapPolicy::delta: return "delta";
+    case SwapPolicy::frame_first: return "frame_first";
+    }
+    return "?";
+}
+
 /// Pins the calling thread to the given CPU. Returns false when pinning is
 /// unsupported or fails (never fatal: placement is a performance hint).
 inline bool pin_current_thread_to_cpu([[maybe_unused]] int cpu)
@@ -219,11 +246,12 @@ public:
     /// config.queue_capacity: the plan *is* the queue topology.
     Pipeline(TaskSequence<T>& sequence, plan::ExecutionPlan plan, PipelineConfig config = {})
         : sequence_(sequence)
-        , plan_(std::move(plan))
+        , plan_(std::make_shared<const plan::ExecutionPlan>(std::move(plan)))
         , config_(config)
     {
-        validate_against_sequence(plan_);
-        rebuild_stage_specs();
+        validate_against_sequence(*plan_);
+        for (const plan::PlanStage& stage : plan_->stages())
+            stages_.push_back(core::Stage{stage.first, stage.last, stage.replicas, stage.type});
     }
 
     /// Payload merge for fan-in stages: combines input `ordinal`'s popped
@@ -259,18 +287,18 @@ public:
 
     /// Like run(), but resumes the stream at `first_frame` (ignores
     /// config.first_frame). Used by run_with_recovery to continue a stream
-    /// on the same pipeline after a delta hot-swap.
+    /// on the same pipeline after a retarget.
     RunResult run_from(std::uint64_t first_frame, std::uint64_t num_frames,
                        const std::function<void(T&)>& on_output = {})
     {
         if (first_frame > num_frames)
             throw std::invalid_argument{"Pipeline::run: first_frame past the stream end"};
 
-        // Segment setup mutates the same state an in-flight swap touches
-        // (plan_, stage specs, the worker census). A caller may legally
-        // invoke try_apply_delta_in_flight from another thread at any time,
-        // including while a segment is starting -- serialize against it, and
-        // release before the output drain so mid-segment swaps proceed.
+        // Segment setup mutates the same state a retarget touches (stage
+        // specs, the worker census). A caller may legally retarget from
+        // another thread at any time, including while a segment is starting
+        // -- serialize against it, and release before the output drain so
+        // mid-segment retargets proceed (running_ tells them a run is on).
         std::unique_lock swap_lock{swap_mutex_};
         if (!materialized_)
             materialize();
@@ -305,23 +333,24 @@ public:
         std::size_t entered = 0;
         {
             std::lock_guard lock{workers_mutex_};
+            // Every worker is parked: join the ones retired or fenced since
+            // the last segment start, so exited threads never pile up.
+            reap_dead_workers();
             for (auto& worker : workers_) {
-                if (worker->gone.load() || worker->fenced.load() || worker->dismissed.load())
-                    continue;
                 worker->holding.store(kNoFrame);
                 worker->exited.store(false);
                 worker->retired.store(false);
                 worker->seg_done.store(false);
                 worker->last_beat_ns.store(now_ns());
                 ++live[static_cast<std::size_t>(worker->stage)];
-                ++entered;
             }
+            entered = workers_.size();
         }
         for (std::size_t s = 0; s < k; ++s) {
             if (live[s] == 0)
                 throw std::logic_error{
                     "Pipeline::run: stage " + std::to_string(s)
-                    + " has no live workers; apply a delta or rebuild the pipeline"};
+                    + " has no live workers; retarget or rebuild the pipeline"};
             st.live_in_stage[s].store(live[s]);
         }
 
@@ -337,6 +366,7 @@ public:
             ++epoch_;
         }
         epoch_cv_.notify_all();
+        running_ = true;
         swap_lock.unlock();
 
         std::thread watchdog;
@@ -370,11 +400,11 @@ public:
         }
 
         // -- wait for every entered worker to park ------------------------
-        // The predicate re-reads st.entered: an in-flight swap may admit
-        // workers into this segment while we wait. segment_active_ flips
-        // under the same lock, so a swap either admits before we re-check
-        // (and we wait for its workers too) or sees the segment closed and
-        // parks its spawns for the next one.
+        // The predicate re-reads st.entered: an in-flight retarget may
+        // admit workers into this segment while we wait. segment_active_
+        // flips under the same lock, so a retarget either admits before we
+        // re-check (and we wait for its workers too) or sees the segment
+        // closed and parks its spawns for the next one.
         {
             std::unique_lock lock{epoch_mutex_};
             parked_cv_.wait(lock, [&] { return parked_ >= st.entered; });
@@ -390,6 +420,12 @@ public:
             st.scavengers.clear();
         }
         const auto stop = std::chrono::steady_clock::now();
+        {
+            // Cleared only after the watchdog is joined: a retarget from the
+            // loss handler or the monitor hook always sees the run as live.
+            std::lock_guard lock{swap_mutex_};
+            running_ = false;
+        }
 
         if (st.first_error)
             std::rethrow_exception(st.first_error);
@@ -419,56 +455,62 @@ public:
         return result;
     }
 
-    /// In-place hot-swap: reconfigures the pipeline to the plan obtained by
-    /// applying `delta` to the current plan. Untouched stages keep their
-    /// worker threads and queues alive; fenced workers are reaped; only the
-    /// replica-count changes the delta names spawn or retire threads, and
-    /// rebound stages pick up their new core type at the next segment.
-    /// Must be called between segments (never while run() is in flight).
-    /// Throws std::invalid_argument when the delta is incompatible (recut
-    /// structure -- construct a new Pipeline instead).
-    void apply_delta(const plan::PlanDelta& delta)
+    /// Re-maps the pipeline onto `target` (docs/EXECUTION_PLAN.md §3.2).
+    /// Diffs it against the plan this pipeline runs and lands the change
+    /// under the swap lock, atomically with respect to every other retarget
+    /// and to segment setup; whether a run is in progress is the
+    /// pipeline's own state, never the caller's:
+    ///
+    ///   * same plan, every slot staffed          -> none
+    ///   * parked, compatible change              -> drained: lands between
+    ///       segments; untouched stages keep their threads and queues and
+    ///       rebound stages run on their new core type from the next one
+    ///   * live, resize-only change, frame_first  -> frame: spawned workers
+    ///       join the running segment, retired ones finish their frame
+    ///   * anything else -- a recut, a rebind while live, a stricter
+    ///     policy, a target the task sequence cannot run, or a stateful
+    ///     stage whose original tasks are not free within
+    ///     `reclaim_timeout`                      -> rebuild_required
+    ///
+    /// rebuild_required leaves the pipeline untouched; the owner rebuilds
+    /// it from `target`. Never throws on a bad target; safe from any
+    /// thread, including the loss handler and the monitor hook. Workers
+    /// spawned mid-run are not traced (obs tracks cannot be added while
+    /// producers emit); their metrics are recorded as usual.
+    [[nodiscard]] plan::SwapOutcome retarget(const plan::ExecutionPlan& target,
+                                             SwapPolicy policy = SwapPolicy::frame_first,
+                                             std::chrono::milliseconds reclaim_timeout =
+                                                 std::chrono::milliseconds{200})
     {
-        if (!delta.compatible)
-            throw std::invalid_argument{
-                "Pipeline::apply_delta: incompatible delta (" + delta.reason
-                + "); construct a new Pipeline instead"};
+        using plan::SwapOutcome;
         std::lock_guard swap_lock{swap_mutex_};
-        plan::ExecutionPlan next = plan::apply(plan_, delta);
-        validate_against_sequence(next);
-
-        plan_ = std::move(next);
-        rebuild_stage_specs();
-        if (!materialized_)
-            return;
-        // Stay ahead of the plan's id counter: replacement workers spawned
-        // for fenced slots (which the plan does not know about) must never
-        // reuse an id a future delta could hand out.
-        next_worker_id_ = std::max(next_worker_id_, plan_.next_worker_id());
-
-        std::lock_guard lock{workers_mutex_};
-        reap_dead_workers();
-        const auto& plan_stages = plan_.stages();
-        for (std::size_t s = 0; s < plan_stages.size(); ++s) {
-            const int target = plan_stages[s].replicas;
-            int alive = live_worker_count(static_cast<int>(s));
-            while (alive > target) {
-                dismiss_one(static_cast<int>(s));
-                --alive;
-            }
-            while (alive < target) {
-                spawn_worker(static_cast<int>(s));
-                ++alive;
-            }
+        const plan::PlanDelta delta = plan::diff(*plan_, target);
+        if (delta.empty() && census_complete())
+            return SwapOutcome::none;
+        const bool landable = running_
+            ? policy == SwapPolicy::frame_first && delta.resize_only()
+            : policy != SwapPolicy::rebuild_only && delta.compatible;
+        if (!landable)
+            return SwapOutcome::rebuild_required;
+        std::shared_ptr<const plan::ExecutionPlan> next;
+        try {
+            next = std::make_shared<const plan::ExecutionPlan>(plan::apply(*plan_, delta));
+            validate_against_sequence(*next);
+        } catch (const std::invalid_argument&) { // PlanError included
+            return SwapOutcome::rebuild_required;
         }
+        if (running_ && !reclaim_originals(*next, reclaim_timeout))
+            return SwapOutcome::rebuild_required;
+        land(std::move(next));
+        return running_ ? SwapOutcome::frame : SwapOutcome::drained;
     }
 
     /// Invoked on the watchdog thread after it fences a worker (the loss is
     /// recorded and the held frame tombstoned) and *before* any graceful
     /// drain starts. Returning true means the handler restored the pipeline
-    /// (typically via try_apply_delta_in_flight) and the drain is skipped;
-    /// returning false keeps the legacy fence-then-drain behavior. Install
-    /// between runs only.
+    /// (typically a retarget that landed as a frame swap) and the drain is
+    /// skipped; returning false keeps the fence-then-drain behavior.
+    /// Install between runs only.
     using LossHandler = std::function<bool(const WorkerLoss&)>;
     void set_loss_handler(LossHandler handler) { loss_handler_ = std::move(handler); }
 
@@ -482,96 +524,26 @@ public:
     using MonitorHook = std::function<void(double)>;
     void set_monitor_hook(MonitorHook hook) { monitor_hook_ = std::move(hook); }
 
-    /// Frame-granular hot-swap: applies a resize-only delta while a stream
-    /// segment is in flight, without draining. Queues and untouched stages
-    /// survive; spawned workers enter the *current* epoch (they start
-    /// pulling frames at the next frame boundary) and retired workers
-    /// finish their in-flight frame and park. Returns false -- without
-    /// mutating anything -- when the delta does not qualify (incompatible,
-    /// or it rebinds a stage) or when a dead sequential stage's original
-    /// task instances cannot be reclaimed within `reclaim_timeout` (the
-    /// previous owner may still be running; fall back to apply_delta after
-    /// the drain). Safe to call from the loss handler (watchdog thread) or
-    /// any other thread; concurrent calls serialize. Workers spawned
-    /// mid-segment are not traced (obs tracks cannot be added while
-    /// producers emit); their metrics are recorded as usual.
-    bool try_apply_delta_in_flight(const plan::PlanDelta& delta,
-                                   std::chrono::milliseconds reclaim_timeout =
-                                       std::chrono::milliseconds{200})
+    /// Snapshot of the plan this pipeline currently executes. A retarget
+    /// publishes a new plan object; a snapshot already handed out stays
+    /// valid and unchanged.
+    [[nodiscard]] std::shared_ptr<const plan::ExecutionPlan> execution_plan() const
     {
-        if (!delta.resize_only())
-            return false;
-        std::lock_guard swap_lock{swap_mutex_};
-        plan::ExecutionPlan next = plan::apply(plan_, delta);
-        validate_against_sequence(next);
-
-        if (!materialized_) { // never ran: plain between-segment swap
-            plan_ = std::move(next);
-            rebuild_stage_specs();
-            next_worker_id_ = std::max(next_worker_id_, plan_.next_worker_id());
-            return true;
-        }
-
-        // Pass 1 (no mutation yet): a stage below target whose tasks cannot
-        // clone can only be refilled with the sequence's original task
-        // instances -- wait (bounded) for the previous owner to finish its
-        // in-flight frame, then give up cleanly if it never does (e.g. a
-        // stalled-but-alive fenced worker still running user code).
-        const auto deadline = std::chrono::steady_clock::now() + reclaim_timeout;
-        for (const plan::PlanStage& stage : next.stages()) {
-            if (stage_cloneable(stage.index))
-                continue;
-            for (;;) {
-                {
-                    std::lock_guard lock{workers_mutex_};
-                    if (live_worker_count(stage.index) >= stage.replicas
-                        || originals_free(stage.index, /*in_flight=*/true))
-                        break;
-                }
-                if (std::chrono::steady_clock::now() >= deadline)
-                    return false;
-                std::this_thread::sleep_for(std::chrono::microseconds{100});
-            }
-        }
-
-        plan_ = std::move(next);
-        next_worker_id_ = std::max(next_worker_id_, plan_.next_worker_id());
-        update_stage_replicas(); // in place: workers hold Stage references
-
-        std::lock_guard lock{workers_mutex_};
-        for (const plan::PlanStage& stage : plan_.stages()) {
-            int alive = live_worker_count(stage.index);
-            while (alive > stage.replicas) {
-                dismiss_one_in_flight(stage.index);
-                --alive;
-            }
-            while (alive < stage.replicas) {
-                spawn_worker(stage.index, -1, /*enter_current=*/true);
-                ++alive;
-            }
-        }
-        return true;
+        std::lock_guard lock{plan_mutex_};
+        return plan_;
     }
-
-    /// The compiled plan this pipeline currently executes.
-    [[nodiscard]] const plan::ExecutionPlan& execution_plan() const noexcept { return plan_; }
-
-    [[nodiscard]] const core::Solution& solution() const noexcept { return plan_.solution(); }
 
     /// Worker threads currently alive (not fenced, not retired); for tests
     /// and the recovery bench.
     [[nodiscard]] int live_workers() const
     {
         std::lock_guard lock{workers_mutex_};
-        int count = 0;
-        for (const auto& worker : workers_)
-            if (!worker->gone.load() && !worker->fenced.load() && !worker->dismissed.load())
-                ++count;
-        return count;
+        return static_cast<int>(std::count_if(
+            workers_.begin(), workers_.end(), [](const auto& worker) { return alive(*worker); }));
     }
 
     /// Total worker threads ever spawned by this pipeline (monotone; grows
-    /// by exactly the delta's spawn count on each hot-swap).
+    /// by exactly the delta's spawn count on each retarget).
     [[nodiscard]] int spawned_workers() const noexcept { return spawned_total_.load(); }
 
 private:
@@ -597,11 +569,11 @@ private:
         std::vector<Task<T>*> tasks;
         bool owns_originals = false;
         std::size_t track = 0; ///< trace track (valid when tracing && traced)
-        bool traced = true;    ///< false for mid-segment spawns (no track)
+        bool traced = true;    ///< false for spawns during a run (no track)
         std::thread thread;
 
         // -- lifecycle -----------------------------------------------------
-        std::atomic<bool> dismissed{false}; ///< retire request (apply_delta)
+        std::atomic<bool> dismissed{false}; ///< retire request (retarget)
         std::atomic<bool> gone{false};      ///< thread exited for good
 
         // -- per-segment ---------------------------------------------------
@@ -611,7 +583,7 @@ private:
         std::atomic<bool> exited{false};
         std::atomic<bool> retired{false};
         /// Set once the worker will not touch its task instances again this
-        /// segment (its segment body returned). Lets an in-flight swap
+        /// segment (its segment body returned). Lets an in-flight retarget
         /// reclaim a dead stage's original task instances safely.
         std::atomic<bool> seg_done{false};
     };
@@ -760,14 +732,6 @@ private:
                 "(set PipelineConfig::heartbeat_timeout)"};
     }
 
-    void rebuild_stage_specs()
-    {
-        stages_.clear();
-        stages_.reserve(plan_.stage_count());
-        for (const plan::PlanStage& stage : plan_.stages())
-            stages_.push_back(core::Stage{stage.first, stage.last, stage.replicas, stage.type});
-    }
-
     /// First call of run(): creates the queues and spawns the initial
     /// worker threads (parked until the first epoch). Trace tracks are laid
     /// out stage-major, then the watchdog track -- the same layout one
@@ -775,13 +739,13 @@ private:
     void materialize()
     {
         const std::size_t k = stages_.size();
-        const auto& specs = plan_.queues();
+        const auto& specs = plan_->queues();
         queues_.reserve(specs.size());
         for (const plan::QueueSpec& spec : specs)
             queues_.push_back(
                 std::make_unique<OrderedQueue<T>>(spec.capacity, config_.first_frame));
         if (config_.overload.enabled) {
-            const std::size_t cap = std::max<std::size_t>(1, plan_.options().queue_capacity);
+            const std::size_t cap = std::max<std::size_t>(1, plan_->options().queue_capacity);
             std::size_t high = config_.overload.high_watermark;
             if (high == 0 || high > cap)
                 high = std::max<std::size_t>(1, cap * 3 / 4);
@@ -797,7 +761,7 @@ private:
         // out_queues entry. Linear plans reduce to one in, one out.
         io_.clear();
         io_.resize(k);
-        for (const plan::PlanStage& stage : plan_.stages()) {
+        for (const plan::PlanStage& stage : plan_->stages()) {
             StageIO& io = io_[static_cast<std::size_t>(stage.index)];
             for (const int q : stage.in_queues)
                 io.ins.push_back(queues_[static_cast<std::size_t>(q)].get());
@@ -820,31 +784,28 @@ private:
             && config_.sink->trace_enabled())
             trace_ = &config_.sink->trace();
 
-        for (const plan::WorkerSlot& slot : plan_.workers())
+        for (const plan::WorkerSlot& slot : plan_->workers())
             spawn_worker(slot.stage, slot.id);
-        next_worker_id_ = plan_.next_worker_id();
+        next_worker_id_ = plan_->next_worker_id();
         if (trace_ != nullptr)
             watchdog_track_ = trace_->add_track(obs::schema::kWatchdogTrack);
         materialized_ = true;
     }
 
-    /// Spawns one worker thread for `stage`. The first worker of a stage
+    /// Spawns one worker thread for `stage`. The stage's first worker
     /// borrows the sequence's original task instances (required for
     /// stateful stages, whose tasks cannot clone); every other worker owns
-    /// clones. `id` < 0 allocates the next pipeline-local id. With
-    /// `enter_current` set and a segment in flight, the worker joins the
-    /// *current* epoch (it starts pulling frames immediately) instead of
-    /// parking for the next one. Caller holds workers_mutex_ (or no other
-    /// thread can touch workers_).
-    void spawn_worker(int stage, int id = -1, bool enter_current = false)
+    /// clones. `id` < 0 allocates the next pipeline-local id. While a
+    /// segment is open the worker joins it (it starts pulling frames at
+    /// once); otherwise it parks for the next one. Caller holds
+    /// swap_mutex_ and workers_mutex_ (materialize: no other thread yet).
+    void spawn_worker(int stage, int id = -1)
     {
         auto worker = std::make_unique<Worker>();
         worker->id = id >= 0 ? id : next_worker_id_++;
         worker->stage = stage;
         const core::Stage& spec = stages_[static_cast<std::size_t>(stage)];
-        const bool borrow = enter_current ? originals_free(stage, /*in_flight=*/true)
-                                          : !originals_in_use(stage);
-        if (borrow) {
+        if (originals_free(stage)) {
             worker->tasks = sequence_.stage_view(spec.first, spec.last);
             worker->owns_originals = true;
         } else {
@@ -854,9 +815,9 @@ private:
                 worker->tasks.push_back(owned.get());
         }
         if (trace_ != nullptr) {
-            // Track tables cannot grow while producers emit; mid-segment
-            // spawns run untraced (metrics still flow).
-            if (enter_current)
+            // Track tables cannot grow while producers emit; spawns during
+            // a run go untraced (metrics still flow).
+            if (running_)
                 worker->traced = false;
             else
                 worker->track = trace_->add_track(obs::schema::worker_track(worker->id, stage));
@@ -866,7 +827,7 @@ private:
         std::uint64_t born_epoch = 0;
         {
             std::lock_guard lock{epoch_mutex_};
-            if (enter_current && segment_active_) {
+            if (segment_active_) {
                 born_epoch = epoch_ - 1; // wait predicate is already true
                 ++seg_.entered;
                 seg_.live_in_stage[static_cast<std::size_t>(stage)].fetch_add(1);
@@ -888,30 +849,23 @@ private:
         spawned_total_.fetch_add(1);
     }
 
-    [[nodiscard]] bool originals_in_use(int stage) const
+    /// Neither fenced, retired nor exited: the worker counts toward its
+    /// stage's census.
+    [[nodiscard]] static bool alive(const Worker& worker)
     {
-        for (const auto& worker : workers_)
-            if (worker->stage == stage && worker->owns_originals && !worker->gone.load()
-                && !worker->fenced.load() && !worker->dismissed.load())
-                return true;
-        return false;
+        return !worker.gone.load() && !worker.fenced.load() && !worker.dismissed.load();
     }
 
-    /// Whether the stage's original task instances can be (re)borrowed. The
-    /// between-segment test only excludes live owners; in flight, a fenced
-    /// or dismissed owner may *still be executing* user code, so the
-    /// originals stay off-limits until its segment body returns (seg_done)
-    /// or its thread is gone.
-    [[nodiscard]] bool originals_free(int stage, bool in_flight) const
+    /// Whether the stage's original task instances can be (re)borrowed: no
+    /// live worker owns them, and no fenced or retired owner may still be
+    /// executing user code with them -- it may until its segment body
+    /// returns (seg_done) or its thread is gone.
+    [[nodiscard]] bool originals_free(int stage) const
     {
-        for (const auto& worker : workers_) {
-            if (worker->stage != stage || !worker->owns_originals)
-                continue;
-            if (!worker->gone.load() && !worker->fenced.load() && !worker->dismissed.load())
-                return false; // live owner
-            if (in_flight && !worker->gone.load() && !worker->seg_done.load())
-                return false; // doomed owner, possibly mid-frame
-        }
+        for (const auto& worker : workers_)
+            if (worker->stage == stage && worker->owns_originals
+                && (alive(*worker) || (!worker->gone.load() && !worker->seg_done.load())))
+                return false;
         return true;
     }
 
@@ -930,25 +884,40 @@ private:
     {
         int count = 0;
         for (const auto& worker : workers_)
-            if (worker->stage == stage && !worker->gone.load() && !worker->fenced.load()
-                && !worker->dismissed.load())
+            if (worker->stage == stage && alive(*worker))
                 ++count;
         return count;
     }
 
-    /// Joins and removes workers whose threads are finished or doomed:
-    /// fenced by the watchdog (their thread exits at the next epoch wake)
-    /// or already gone. Only called between segments.
+    /// True when every stage runs exactly the plan's replica count (a
+    /// fenced worker leaves its slot empty until a retarget or a rebuild
+    /// refills it). Caller holds swap_mutex_.
+    [[nodiscard]] bool census_complete() const
+    {
+        if (!materialized_)
+            return true; // materialize() staffs every slot of the plan
+        std::lock_guard lock{workers_mutex_};
+        for (const plan::PlanStage& stage : plan_->stages())
+            if (live_worker_count(stage.index) != stage.replicas)
+                return false;
+        return true;
+    }
+
+    /// Joins and removes every worker that is retired, fenced or gone. Only
+    /// while no segment runs: a doomed worker parked in the epoch wait
+    /// wakes on its dismiss flag and exits at once. Caller holds
+    /// workers_mutex_.
     void reap_dead_workers()
     {
-        bool any = false;
-        for (auto& worker : workers_)
-            if (worker->fenced.load() || worker->gone.load()) {
-                worker->dismissed.store(true);
-                any = true;
-            }
-        if (!any)
+        if (std::all_of(workers_.begin(), workers_.end(),
+                        [](const auto& worker) { return alive(*worker); }))
             return;
+        {
+            std::lock_guard lock{epoch_mutex_}; // see dismiss()
+            for (auto& worker : workers_)
+                if (!alive(*worker))
+                    worker->dismissed.store(true);
+        }
         epoch_cv_.notify_all();
         std::erase_if(workers_, [](const std::unique_ptr<Worker>& worker) {
             if (!worker->dismissed.load())
@@ -959,61 +928,95 @@ private:
         });
     }
 
+    /// Retire request: set under epoch_mutex_ so a worker between its wait
+    /// predicate and its sleep cannot miss the wake-up.
+    void dismiss(Worker& worker)
+    {
+        {
+            std::lock_guard lock{epoch_mutex_};
+            worker.dismissed.store(true);
+        }
+        epoch_cv_.notify_all();
+    }
+
     /// Retires one live worker of `stage` (a clone owner when possible, so
-    /// the originals stay owned) and joins its thread.
+    /// the originals stay owned). Mid-segment it finishes its in-flight
+    /// frame and retires from the stage count; its thread is joined at the
+    /// next segment start, never here -- the caller may be the watchdog,
+    /// and blocking it stalls fencing. Caller holds workers_mutex_.
     void dismiss_one(int stage)
     {
         Worker* victim = nullptr;
         for (auto& worker : workers_) {
-            if (worker->stage != stage || worker->gone.load() || worker->fenced.load()
-                || worker->dismissed.load())
+            if (worker->stage != stage || !alive(*worker))
                 continue;
             if (victim == nullptr || victim->owns_originals)
                 victim = worker.get();
         }
-        if (victim == nullptr)
-            return;
-        victim->dismissed.store(true);
-        epoch_cv_.notify_all();
-        std::erase_if(workers_, [victim](const std::unique_ptr<Worker>& worker) {
-            if (worker.get() != victim)
-                return false;
-            if (worker->thread.joinable())
-                worker->thread.join();
-            return true;
-        });
+        if (victim != nullptr)
+            dismiss(*victim);
     }
 
-    /// Mid-segment retire: marks one live worker of `stage` dismissed (a
-    /// clone owner when possible) and returns. The worker finishes its
-    /// in-flight frame, retires itself from the stage count and parks; its
-    /// thread is joined by the next between-segment reap (never here -- the
-    /// caller may be the watchdog, and blocking it stalls fencing). Caller
-    /// holds workers_mutex_.
-    void dismiss_one_in_flight(int stage)
+    /// Mid-segment, a stage below its target whose tasks cannot clone can
+    /// only be refilled with the sequence's original task instances: waits
+    /// (bounded) for their previous owner to finish its in-flight frame.
+    /// False when one never does (e.g. a stalled-but-alive fenced worker
+    /// still running user code). Caller holds swap_mutex_.
+    bool reclaim_originals(const plan::ExecutionPlan& next, std::chrono::milliseconds timeout)
     {
-        Worker* victim = nullptr;
-        for (auto& worker : workers_) {
-            if (worker->stage != stage || worker->gone.load() || worker->fenced.load()
-                || worker->dismissed.load())
+        const auto deadline = std::chrono::steady_clock::now() + timeout;
+        for (const plan::PlanStage& stage : next.stages()) {
+            if (stage_cloneable(stage.index))
                 continue;
-            if (victim == nullptr || victim->owns_originals)
-                victim = worker.get();
+            for (;;) {
+                {
+                    std::lock_guard lock{workers_mutex_};
+                    if (live_worker_count(stage.index) >= stage.replicas
+                        || originals_free(stage.index))
+                        break;
+                }
+                if (std::chrono::steady_clock::now() >= deadline)
+                    return false;
+                std::this_thread::sleep_for(std::chrono::microseconds{100});
+            }
         }
-        if (victim == nullptr)
-            return;
-        victim->dismissed.store(true);
-        epoch_cv_.notify_all(); // in case it already parked (segment tail)
+        return true;
     }
 
-    /// Follows a resize-only plan change without touching the stage vector
-    /// itself: running workers hold `const core::Stage&` references into
-    /// stages_, so only the replica counts may be rewritten, in place.
-    void update_stage_replicas()
+    /// Publishes `next` -- a validated, compatible successor of the running
+    /// plan -- and reconciles the worker census with it. Compatible plans
+    /// keep every stage interval, and running workers hold references into
+    /// stages_, so the specs change in place (a rebind only ever lands
+    /// between segments). Caller holds swap_mutex_.
+    void land(std::shared_ptr<const plan::ExecutionPlan> next)
     {
-        const auto& plan_stages = plan_.stages();
-        for (std::size_t s = 0; s < plan_stages.size(); ++s)
-            stages_[s].cores = plan_stages[s].replicas;
+        for (const plan::PlanStage& stage : next->stages()) {
+            core::Stage& spec = stages_[static_cast<std::size_t>(stage.index)];
+            spec.cores = stage.replicas;
+            if (spec.type != stage.type)
+                spec.type = stage.type;
+        }
+        {
+            std::lock_guard lock{plan_mutex_};
+            plan_ = next;
+        }
+        if (!materialized_)
+            return; // materialize() spawns the plan's workers
+        // Stay ahead of the plan's id counter: replacement workers spawned
+        // for fenced slots (which the plan does not know about) must never
+        // reuse an id a future delta could hand out.
+        next_worker_id_ = std::max(next_worker_id_, next->next_worker_id());
+
+        std::lock_guard lock{workers_mutex_};
+        if (!running_)
+            reap_dead_workers(); // frees a fenced stateful owner's originals
+        for (const plan::PlanStage& stage : next->stages()) {
+            int staffed = live_worker_count(stage.index);
+            for (; staffed > stage.replicas; --staffed)
+                dismiss_one(stage.index);
+            for (; staffed < stage.replicas; ++staffed)
+                spawn_worker(stage.index);
+        }
     }
 
     void resolve_obs_hooks(SegmentState& st)
@@ -1066,7 +1069,7 @@ private:
 
     /// Thread body of a persistent worker: park on the epoch cv, run one
     /// segment, report parked, repeat. Exits on pipeline shutdown, on a
-    /// dismiss request (hot-swap retired the slot) or after being fenced
+    /// dismiss request (a retarget retired the slot) or after being fenced
     /// (the thread is dead to the pipeline; it never re-enters).
     void worker_main(Worker& me, std::uint64_t seen_epoch)
     {
@@ -1076,15 +1079,15 @@ private:
                 epoch_cv_.wait(lock, [&] {
                     return shutdown_ || me.dismissed.load() || epoch_ > seen_epoch;
                 });
-                if (shutdown_ || me.dismissed.load()) {
+                // A worker counted into the open segment always runs it,
+                // even when dismissed or fenced before its first wake-up:
+                // its loop then exits at once, settling the stage count and
+                // parked_ that the segment's end waits for.
+                if (shutdown_ || epoch_ == seen_epoch) {
                     me.gone.store(true);
                     return;
                 }
                 seen_epoch = epoch_;
-                if (me.fenced.load()) { // fenced while parked: never re-enter
-                    me.gone.store(true);
-                    return;
-                }
             }
             run_segment(me);
             // Order matters: seg_done (task instances released) must be
@@ -1405,17 +1408,16 @@ private:
             if (!fencing)
                 continue;
             const std::int64_t now = now_ns();
-            // Scan under workers_mutex_ (an in-flight swap may be growing
-            // the vector), but fence outside it: the loss handler may
-            // itself spawn replacements, which needs the same mutex.
-            // Worker objects are stable for the whole segment -- in-flight
+            // Scan under workers_mutex_ (an in-flight retarget may be
+            // growing the vector), but fence outside it: the loss handler
+            // may itself spawn replacements, which needs the same mutex.
+            // Worker objects are stable for the whole run -- in-flight
             // retires only mark workers dismissed, they never erase.
             stale.clear();
             {
                 std::lock_guard lock{workers_mutex_};
                 for (auto& worker : workers_) {
-                    if (worker->exited.load() || worker->fenced.load() || worker->gone.load()
-                        || worker->dismissed.load())
+                    if (worker->exited.load() || !alive(*worker))
                         continue;
                     if (now - worker->last_beat_ns.load() > timeout_ns)
                         stale.push_back(worker.get());
@@ -1435,8 +1437,11 @@ private:
     /// guards its contents.
     void overload_poll(SegmentState& st)
     {
+        // One plan snapshot per pass: a concurrent retarget may publish a
+        // successor (it never changes the queue topology or capacity).
+        const std::shared_ptr<const plan::ExecutionPlan> plan = execution_plan();
         const double cap =
-            static_cast<double>(std::max<std::size_t>(1, plan_.options().queue_capacity));
+            static_cast<double>(std::max<std::size_t>(1, plan->options().queue_capacity));
         double worst = 0.0;
         for (std::size_t s = 0; s < queues_.size(); ++s) {
             const std::size_t depth = queues_[s]->buffered();
@@ -1454,7 +1459,7 @@ private:
             st.obs.brownout_entries->inc(0);
         if (!browned)
             return;
-        const auto& specs = plan_.queues();
+        const auto& specs = plan->queues();
         for (std::size_t s = 0; s < queues_.size(); ++s) {
             if (specs[s].consumer_stage == plan::QueueSpec::kDrain)
                 continue; // finished work the drain is about to deliver
@@ -1579,7 +1584,9 @@ private:
     }
 
     TaskSequence<T>& sequence_;
-    plan::ExecutionPlan plan_;
+    /// The running plan. Replaced (never mutated) by retarget, under
+    /// swap_mutex_ and plan_mutex_; read under either.
+    std::shared_ptr<const plan::ExecutionPlan> plan_;
     PipelineConfig config_;
     Merge merge_; ///< fan-in payload merge (set_merge); null = default
 
@@ -1593,12 +1600,18 @@ private:
     std::atomic<int> spawned_total_{0};
     bool materialized_ = false;
 
-    /// Guards the workers_ vector whenever a segment is in flight: the
-    /// watchdog scans it while an in-flight swap may be appending to it.
-    /// Erasure stays a between-segment affair, so Worker* stay valid for a
-    /// whole segment. Acquired before epoch_mutex_ when both are needed.
+    /// Guards the workers_ vector whenever a run is in flight: the
+    /// watchdog scans it while an in-flight retarget may be appending to
+    /// it. Erasure stays a between-segment affair, so Worker* stay valid for
+    /// a whole run. Acquired before epoch_mutex_ when both are needed.
     mutable std::mutex workers_mutex_;
-    std::mutex swap_mutex_; ///< serializes try_apply_delta_in_flight calls
+    /// Serializes retarget calls against each other and against segment
+    /// setup; guards running_.
+    std::mutex swap_mutex_;
+    mutable std::mutex plan_mutex_; ///< publishes plan_ to snapshot readers
+    /// A run_from is in progress: set at segment setup, cleared after its
+    /// watchdog is joined. Decides live vs parked for retarget.
+    bool running_ = false;
     LossHandler loss_handler_;
     MonitorHook monitor_hook_;
 

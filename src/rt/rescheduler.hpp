@@ -150,60 +150,29 @@ struct RecoveryReport {
     double recovery_latency_seconds = 0.0; ///< failure detection -> first resumed frame
     std::vector<core::Solution> solutions; ///< initial + one per recovery
     bool completed = false; ///< stream reached num_frames
-    int delta_swaps = 0;    ///< recoveries applied between segments via plan::PlanDelta
+    /// Recoveries retargeted between segments (SwapOutcome::drained).
+    int delta_swaps = 0;
     int rebuild_swaps = 0;  ///< recoveries that rebuilt the pipeline
-    /// Recoveries applied mid-segment by an in-flight frame swap (no drain:
-    /// the stream never stopped; see Pipeline::try_apply_delta_in_flight).
+    /// Recoveries retargeted mid-segment (SwapOutcome::frame, no drain: the
+    /// stream never stopped).
     int frame_swaps = 0;
-    double swap_seconds = 0.0; ///< time spent applying deltas / rebuilding
+    double swap_seconds = 0.0; ///< time spent retargeting / rebuilding
 };
-
-/// How a schedule change may land on a live pipeline. One ladder shared by
-/// run_with_recovery, the arbiter's pipeline endpoint
-/// (rt::PipelineTenantEndpoint) and the autoscaler (rt::Autoscaler); it
-/// replaces the old RecoveryOptions::{allow_delta, allow_frame_swap} bool
-/// pair (mapping table in docs/EXECUTION_PLAN.md §3.2). Each level
-/// includes everything below it as fallback.
-enum class SwapPolicy : std::uint8_t {
-    /// Never mutate a built pipeline: every change drains, tears down and
-    /// rebuilds.
-    rebuild_only,
-    /// Apply compatible deltas between segments (plan::diff + apply_delta:
-    /// untouched stages keep their threads and queues); incompatible
-    /// (recut) changes rebuild. No mid-segment swaps.
-    delta,
-    /// Land *resize-only* changes mid-segment without draining
-    /// (Pipeline::try_apply_delta_in_flight): replacement workers join the
-    /// live stream at the next frame boundary. Changes that do not qualify
-    /// -- rebound stages, recuts, or a stateful reclaim timeout -- fall
-    /// down the ladder. The default.
-    frame_first,
-};
-
-[[nodiscard]] constexpr const char* to_string(SwapPolicy policy) noexcept
-{
-    switch (policy) {
-    case SwapPolicy::rebuild_only: return "rebuild_only";
-    case SwapPolicy::delta: return "delta";
-    case SwapPolicy::frame_first: return "frame_first";
-    }
-    return "?";
-}
 
 /// Knobs for run_with_recovery's hot-swap path.
 struct RecoveryOptions {
-    /// How recoveries may land on the running pipeline.
+    /// How recoveries may land on the running pipeline (Pipeline::retarget).
     SwapPolicy swap = SwapPolicy::frame_first;
 };
 
 /// Runs the stream [config.first_frame, num_frames) with automatic recovery:
 /// on a degraded run, reduces the resource vector by the lost cores,
-/// recomputes the schedule, hot-swaps the pipeline -- in place via a plan
-/// delta when the new stage cut is compatible, by a full rebuild otherwise
-/// -- and resumes the stream at the exact frame the degraded run drained
-/// to. Stops after `max_recoveries` hot-swaps (default: one per core of the
-/// initial budget). Throws NoScheduleError if the degraded resources cannot
-/// run the chain at all.
+/// recomputes the schedule, retargets the pipeline -- in place when the new
+/// stage cut is compatible, by a full rebuild otherwise -- and resumes the
+/// stream at the exact frame the degraded run drained to. Stops after
+/// `max_recoveries` hot-swaps (default: one per core of the initial
+/// budget). Throws NoScheduleError if the degraded resources cannot run the
+/// chain at all.
 template <typename T>
 RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& rescheduler,
                                  std::uint64_t num_frames, PipelineConfig config = {},
@@ -243,9 +212,10 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& resched
 
     // On every fence: shrink the budget and re-solve immediately (so even a
     // declined swap leaves rescheduler.solution() ready for the drain path
-    // with no second batch), then frame-swap in flight when the delta is
-    // resize-only. Runs on the watchdog thread; `report` and `max_recoveries`
-    // are safe to read -- the main thread only writes them between runs.
+    // with no second batch), then retarget in flight -- a frame swap when
+    // the change is resize-only. Runs on the watchdog thread; `report` and
+    // `max_recoveries` are safe to read -- the main thread only writes them
+    // between runs.
     auto install_handler = [&](Pipeline<T>& p) {
         if (options.swap != SwapPolicy::frame_first)
             return;
@@ -265,14 +235,11 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& resched
                 return false;
             }
             swap_state.handled_workers.push_back(loss.worker);
-            plan::ExecutionPlan candidate =
+            const plan::ExecutionPlan candidate =
                 plan::ExecutionPlan::compile(rescheduler.chain(), degraded,
                                              plan::PlanOptions{config.queue_capacity});
-            const plan::PlanDelta delta = plan::diff(p.execution_plan(), candidate);
-            if (!delta.resize_only())
-                return false;
             const auto swap_begin = std::chrono::steady_clock::now();
-            if (!p.try_apply_delta_in_flight(delta))
+            if (p.retarget(candidate) != plan::SwapOutcome::frame)
                 return false;
             ++swap_state.swaps;
             swap_state.swap_seconds +=
@@ -390,9 +357,7 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& resched
         plan::ExecutionPlan candidate =
             plan::ExecutionPlan::compile(rescheduler.chain(), rescheduler.solution(),
                                          plan::PlanOptions{config.queue_capacity});
-        const plan::PlanDelta delta = plan::diff(pipeline->execution_plan(), candidate);
-        if (options.swap != SwapPolicy::rebuild_only && delta.compatible) {
-            pipeline->apply_delta(delta);
+        if (pipeline->retarget(candidate, options.swap) != plan::SwapOutcome::rebuild_required) {
             ++report.delta_swaps;
         } else {
             pipeline.reset(); // join the old workers before spawning new ones

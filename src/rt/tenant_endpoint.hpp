@@ -2,36 +2,16 @@
 // Adapts rt::Pipeline<T> to the arbiter's type-erased hot-swap handle
 // (arb::TenantEndpoint, docs/ARBITER.md). Bind with
 // Arbiter::bind_endpoint(id, &endpoint); on each rearbitration whose grant
-// changes this tenant's budget the arbiter calls apply(next, delta) and the
-// adapter picks the cheapest swap the pipeline can absorb:
-//
-//   * empty delta                 -> SwapKind::none
-//   * incompatible (recut)        -> SwapKind::rebuild_required; the owner
-//                                    rebuilds the pipeline from the plan in
-//                                    its TenantStatus
-//   * parked (no segment running) -> Pipeline::apply_delta, SwapKind::delta
-//   * live + resize-only          -> Pipeline::try_apply_delta_in_flight,
-//                                    SwapKind::frame (no drain)
-//   * live, anything else         -> SwapKind::rebuild_required (apply_delta
-//                                    must not run mid-segment)
-//
-// The rungs above are the SwapPolicy::frame_first ladder (the default); a
-// stricter policy caps how far up the adapter may climb:
-// SwapPolicy::delta declines in-flight swaps (live tenants report
-// rebuild_required instead of frame-swapping) and SwapPolicy::rebuild_only
-// reports rebuild_required for every non-empty delta.
-//
-// The owner flips set_live() around run()/run_from() so the adapter knows
-// which swap path is legal; it defaults to parked. The arbiter serializes
-// apply() calls under its own lock, and the in-flight path additionally
-// serializes against the pipeline's swap mutex, so a watchdog-triggered
-// recovery swap and an arbiter budget swap cannot interleave mid-apply.
+// changes this tenant's budget the arbiter calls apply(next), which is one
+// Pipeline::retarget under the endpoint's SwapPolicy. The pipeline diffs
+// `next` against the plan it actually runs and tells live from parked by
+// itself, so the owner flips nothing around run(). rebuild_required leaves
+// the pipeline untouched; the owner rebuilds it from the plan in its
+// TenantStatus.
 
 #include "arb/arbiter.hpp"
 #include "rt/pipeline.hpp"
-#include "rt/rescheduler.hpp"
 
-#include <atomic>
 #include <chrono>
 
 namespace amp::rt {
@@ -49,42 +29,15 @@ public:
     {
     }
 
-    /// True while a stream segment is in flight (set it before run(), clear
-    /// it after); gates which swap path apply() may take.
-    void set_live(bool live) noexcept { live_.store(live, std::memory_order_release); }
-    [[nodiscard]] bool live() const noexcept
+    [[nodiscard]] plan::SwapOutcome apply(const plan::ExecutionPlan& next) override
     {
-        return live_.load(std::memory_order_acquire);
-    }
-
-    [[nodiscard]] const plan::ExecutionPlan& current_plan() const override
-    {
-        return pipeline_->execution_plan();
-    }
-
-    [[nodiscard]] arb::SwapKind apply(const plan::ExecutionPlan& next,
-                                      const plan::PlanDelta& delta) override
-    {
-        (void)next; // the pipeline re-derives it from its own plan + delta
-        if (delta.empty())
-            return arb::SwapKind::none;
-        if (!delta.compatible || policy_ == SwapPolicy::rebuild_only)
-            return arb::SwapKind::rebuild_required;
-        if (!live()) {
-            pipeline_->apply_delta(delta);
-            return arb::SwapKind::delta;
-        }
-        if (policy_ == SwapPolicy::frame_first && delta.resize_only()
-            && pipeline_->try_apply_delta_in_flight(delta, reclaim_timeout_))
-            return arb::SwapKind::frame;
-        return arb::SwapKind::rebuild_required;
+        return pipeline_->retarget(next, policy_, reclaim_timeout_);
     }
 
 private:
     Pipeline<T>* pipeline_;
     SwapPolicy policy_;
     std::chrono::milliseconds reclaim_timeout_;
-    std::atomic<bool> live_{false};
 };
 
 } // namespace amp::rt

@@ -398,8 +398,6 @@ void SolverService::run_refine(const Job& job, std::size_t worker_index)
     }
     overload_.refinements->inc(worker_index);
     conclude();
-    if (refine.stale != nullptr && outcome.fresh.plan != nullptr)
-        outcome.delta = plan::diff(*refine.stale, *outcome.fresh.plan);
     if (config_.on_refined)
         config_.on_refined(outcome);
 }

@@ -27,7 +27,7 @@
 // probes after a cooldown. With brownout serving enabled, a request that
 // would be rejected (or arrives under queue pressure) is answered with a
 // *stale* compatible cached plan -- flagged ScheduleResult::degraded --
-// while a background refinement re-solves and reports a plan::diff delta
+// while a background refinement re-solves and reports the fresh plan
 // through ServiceConfig::on_refined for in-flight hot-swapping.
 //
 // Telemetry: per-strategy cache hit/miss counters and solve-latency
@@ -71,16 +71,12 @@ struct PlannedSchedule {
 };
 
 /// Outcome of one background brownout refinement (stale-while-revalidate):
-/// the fresh solve that replaces a degraded stale serve, plus the delta
-/// against the plan that was served so callers can hot-swap in flight via
-/// rt::Pipeline::try_apply_delta_in_flight / apply_hot_swap.
+/// the fresh solve that replaces a degraded stale serve. A caller running
+/// the stale plan hot-swaps onto `fresh.plan` with rt::Pipeline::retarget.
 struct RefineOutcome {
     core::ScheduleRequest request; ///< the request that was served stale
     std::shared_ptr<const plan::ExecutionPlan> stale; ///< plan served (may be null)
     PlannedSchedule fresh;                            ///< the re-solve
-    /// plan::diff(*stale, *fresh.plan); default-constructed (compatible,
-    /// empty) when either plan is missing.
-    plan::PlanDelta delta;
 };
 
 struct ServiceConfig {
@@ -115,7 +111,7 @@ struct ServiceConfig {
     bool brownout = false;
     double brownout_watermark = 0.75;
     /// Invoked on a worker thread after each background refinement. Must be
-    /// cheap and thread-safe; the delta enables in-flight hot-swaps.
+    /// cheap and thread-safe; the fresh plan enables in-flight hot-swaps.
     std::function<void(const RefineOutcome&)> on_refined;
 };
 

@@ -34,18 +34,18 @@ public:
     {
     }
 
-    [[nodiscard]] const plan::ExecutionPlan& current_plan() const override { return plan_; }
-
-    [[nodiscard]] SwapKind apply(const plan::ExecutionPlan& next,
-                                 const plan::PlanDelta& delta) override
+    /// Diffs `next` against the plan it runs, as rt::Pipeline::retarget
+    /// does; every compatible change lands (resize-only ones as frames).
+    [[nodiscard]] plan::SwapOutcome apply(const plan::ExecutionPlan& next) override
     {
+        const plan::PlanDelta delta = plan::diff(plan_, next);
         deltas.push_back(delta);
         if (delta.empty())
-            return SwapKind::none;
+            return plan::SwapOutcome::none;
         if (!delta.compatible)
-            return SwapKind::rebuild_required;
+            return plan::SwapOutcome::rebuild_required;
         plan_ = next;
-        return delta.resize_only() ? SwapKind::frame : SwapKind::delta;
+        return delta.resize_only() ? plan::SwapOutcome::frame : plan::SwapOutcome::drained;
     }
 
     std::vector<plan::PlanDelta> deltas;
@@ -59,7 +59,7 @@ protected:
     /// Arbitrates a single tenant at `from`, binds a capturing endpoint,
     /// resizes the pool to `to` and returns the delta of the second pass.
     plan::PlanDelta resize_delta(core::TaskChain chain, core::Resources from,
-                                 core::Resources to, SwapKind expected)
+                                 core::Resources to, plan::SwapOutcome expected)
     {
         ArbiterConfig config;
         config.pool = from;
@@ -90,7 +90,7 @@ TEST_F(ArbiterDeltaTest, GrowOnBigCoresIsAResizeOnlySpawn)
     // Big-biased replicable chain: one big-core stage under every budget.
     const plan::PlanDelta delta = resize_delta(replicable_chain(10.0, 10000.0),
                                                core::Resources{2, 0},
-                                               core::Resources{4, 0}, SwapKind::frame);
+                                               core::Resources{4, 0}, plan::SwapOutcome::frame);
     EXPECT_TRUE(delta.compatible);
     EXPECT_TRUE(delta.resize_only());
     EXPECT_EQ(delta.spawned, 2);
@@ -101,7 +101,7 @@ TEST_F(ArbiterDeltaTest, ShrinkOnBigCoresIsAResizeOnlyRetire)
 {
     const plan::PlanDelta delta = resize_delta(replicable_chain(10.0, 10000.0),
                                                core::Resources{4, 0},
-                                               core::Resources{2, 0}, SwapKind::frame);
+                                               core::Resources{2, 0}, plan::SwapOutcome::frame);
     EXPECT_TRUE(delta.resize_only());
     EXPECT_EQ(delta.retired, 2);
     EXPECT_EQ(delta.spawned, 0);
@@ -112,7 +112,7 @@ TEST_F(ArbiterDeltaTest, GrowOnLittleCoresIsAResizeOnlySpawn)
     // Little-biased chain: the same shape on the other core type.
     const plan::PlanDelta delta = resize_delta(replicable_chain(10000.0, 10.0),
                                                core::Resources{0, 2},
-                                               core::Resources{0, 4}, SwapKind::frame);
+                                               core::Resources{0, 4}, plan::SwapOutcome::frame);
     EXPECT_TRUE(delta.resize_only());
     EXPECT_EQ(delta.spawned, 2);
 }
@@ -121,7 +121,7 @@ TEST_F(ArbiterDeltaTest, ShrinkOnLittleCoresIsAResizeOnlyRetire)
 {
     const plan::PlanDelta delta = resize_delta(replicable_chain(10000.0, 10.0),
                                                core::Resources{0, 4},
-                                               core::Resources{0, 2}, SwapKind::frame);
+                                               core::Resources{0, 2}, plan::SwapOutcome::frame);
     EXPECT_TRUE(delta.resize_only());
     EXPECT_EQ(delta.retired, 2);
 }
@@ -135,7 +135,7 @@ TEST_F(ArbiterDeltaTest, RecutBudgetChangeDemandsARebuild)
         {{10.0, 10.0, false}, {10.0, 10.0, false}, {10.0, 10.0, false}});
     const plan::PlanDelta delta =
         resize_delta(sequential, core::Resources{1, 0}, core::Resources{2, 0},
-                     SwapKind::rebuild_required);
+                     plan::SwapOutcome::rebuild_required);
     EXPECT_FALSE(delta.compatible);
     EXPECT_FALSE(delta.reason.empty());
 }
@@ -153,7 +153,8 @@ TEST_F(ArbiterDeltaTest, WithoutAnEndpointTheDeltaIsStillReported)
     arbiter.set_pool(core::Resources{4, 0});
     const ArbitrationReport report = arbiter.rearbitrate();
     ASSERT_EQ(report.changes.size(), 1u);
-    EXPECT_EQ(report.changes[0].swap, SwapKind::planned);
+    EXPECT_TRUE(report.changes[0].planned);
+    EXPECT_EQ(report.changes[0].swap, plan::SwapOutcome::none);
     // The delta is diffed against the previously stored plan, so an owner
     // polling status() can still hot-swap by hand.
     EXPECT_TRUE(report.changes[0].delta.resize_only());

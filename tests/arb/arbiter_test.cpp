@@ -51,19 +51,21 @@ public:
     {
     }
 
-    [[nodiscard]] const plan::ExecutionPlan& current_plan() const override { return plan_; }
-
-    [[nodiscard]] SwapKind apply(const plan::ExecutionPlan& next,
-                                 const plan::PlanDelta& delta) override
+    /// Diffs `next` against the plan it runs, as rt::Pipeline::retarget
+    /// does; every compatible change lands (resize-only ones as frames).
+    [[nodiscard]] plan::SwapOutcome apply(const plan::ExecutionPlan& next) override
     {
+        const plan::PlanDelta delta = plan::diff(plan_, next);
         deltas.push_back(delta);
         if (delta.empty())
-            return SwapKind::none;
+            return plan::SwapOutcome::none;
         if (!delta.compatible)
-            return SwapKind::rebuild_required;
+            return plan::SwapOutcome::rebuild_required;
         plan_ = next;
-        return delta.resize_only() ? SwapKind::frame : SwapKind::delta;
+        return delta.resize_only() ? plan::SwapOutcome::frame : plan::SwapOutcome::drained;
     }
+
+    [[nodiscard]] const plan::ExecutionPlan& running_plan() const { return plan_; }
 
     std::vector<plan::PlanDelta> deltas;
 
@@ -177,12 +179,12 @@ TEST_F(ArbiterTest, BudgetChangePushesAFrameSwapThroughTheEndpoint)
     ASSERT_EQ(report.changes.size(), 1u);
     EXPECT_EQ(report.changes[0].before, (core::Resources{2, 0}));
     EXPECT_EQ(report.changes[0].after, (core::Resources{4, 0}));
-    EXPECT_EQ(report.changes[0].swap, SwapKind::frame);
+    EXPECT_EQ(report.changes[0].swap, plan::SwapOutcome::frame);
     EXPECT_EQ(report.frame_swaps(), 1);
     EXPECT_EQ(report.rebuilds_required(), 0);
     ASSERT_EQ(endpoint.deltas.size(), 1u);
     EXPECT_TRUE(endpoint.deltas[0].resize_only());
-    EXPECT_EQ(endpoint.current_plan().worker_count(), 4);
+    EXPECT_EQ(endpoint.running_plan().worker_count(), 4);
 }
 
 TEST_F(ArbiterTest, RemovingATenantReturnsItsCoresAtTheNextPass)

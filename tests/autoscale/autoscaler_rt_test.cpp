@@ -88,7 +88,7 @@ TEST(Autoscaler, FeedLandsGrowAndShrinkAsInFlightFrameSwaps)
 {
     constexpr std::uint64_t kFrames = 400;
     const TaskChain chain = resize_only_chain();
-    auto seq = make_sequence(5, /*sleep_us=*/150); // ~60 ms of stream to swap inside
+    auto seq = make_sequence(5, /*sleep_us=*/150);
     svc::SolverService service{svc::ServiceConfig{}};
 
     rt::Pipeline<Frame> pipeline{seq, *plan_for(service, chain, {0, 3}).plan,
@@ -101,29 +101,25 @@ TEST(Autoscaler, FeedLandsGrowAndShrinkAsInFlightFrameSwaps)
     config.on_resize = [&](Resources pool) { resizes.push_back(pool); };
     rt::Autoscaler<Frame> autoscaler{pipeline, chain, {0, 3}, config};
 
+    // Feeds issued from the output thread land while the segment runs.
     std::vector<std::uint64_t> delivered;
-    rt::RunResult result;
-    std::thread runner{[&] {
-        result = pipeline.run(kFrames, [&](Frame& f) {
-            EXPECT_EQ(f.value, 1 + 2 + 3 + 4 + 5);
-            delivered.push_back(f.seq);
-        });
-    }};
-
-    std::this_thread::sleep_for(milliseconds{10});
-    // Two hot windows: patience reached, grow (0,3) -> (0,4) lands live.
-    EXPECT_EQ(autoscaler.feed(1.5, 1), rt::ScaleDecision::hold);
-    EXPECT_EQ(autoscaler.feed(1.5, 2), rt::ScaleDecision::grow);
-    EXPECT_EQ(autoscaler.current(), (Resources{0, 4}));
-    EXPECT_EQ(pipeline.live_workers(), 4);
-
-    std::this_thread::sleep_for(milliseconds{10});
-    // Two idle windows: shrink back to (0,3).
-    EXPECT_EQ(autoscaler.feed(0.1, 3), rt::ScaleDecision::hold);
-    EXPECT_EQ(autoscaler.feed(0.1, 4), rt::ScaleDecision::shrink);
-    EXPECT_EQ(autoscaler.current(), (Resources{0, 3}));
-
-    runner.join();
+    const rt::RunResult result = pipeline.run(kFrames, [&](Frame& f) {
+        EXPECT_EQ(f.value, 1 + 2 + 3 + 4 + 5);
+        delivered.push_back(f.seq);
+        if (f.seq == 100) {
+            // Two hot windows: patience reached, grow (0,3) -> (0,4) lands live.
+            EXPECT_EQ(autoscaler.feed(1.5, 1), rt::ScaleDecision::hold);
+            EXPECT_EQ(autoscaler.feed(1.5, 2), rt::ScaleDecision::grow);
+            EXPECT_EQ(autoscaler.current(), (Resources{0, 4}));
+            EXPECT_EQ(pipeline.live_workers(), 4);
+        }
+        if (f.seq == 200) {
+            // Two idle windows: shrink back to (0,3).
+            EXPECT_EQ(autoscaler.feed(0.1, 3), rt::ScaleDecision::hold);
+            EXPECT_EQ(autoscaler.feed(0.1, 4), rt::ScaleDecision::shrink);
+            EXPECT_EQ(autoscaler.current(), (Resources{0, 3}));
+        }
+    });
 
     EXPECT_EQ(result.frames, kFrames);
     EXPECT_EQ(result.frames_dropped, 0u) << "autoscale swaps must never drop frames";
@@ -162,14 +158,26 @@ TEST(Autoscaler, ClampsAndStricterSwapPoliciesHoldThePool)
     EXPECT_EQ(autoscaler.current(), (Resources{0, 4}));
     EXPECT_EQ(autoscaler.stats().clamped, 1u);
 
-    // A non-frame_first policy declines live landings (counted, no mutation).
+    // rebuild_only never mutates a built pipeline: the shrink is declined
+    // (counted, no mutation) and the pool held.
     rt::AutoscalerConfig strict = config;
-    strict.swap = rt::SwapPolicy::delta;
+    strict.swap = rt::SwapPolicy::rebuild_only;
     rt::Autoscaler<Frame> declined{pipeline, chain, {0, 4}, strict};
     EXPECT_EQ(declined.feed(0.1, 1), rt::ScaleDecision::hold);
     EXPECT_EQ(declined.feed(0.1, 2), rt::ScaleDecision::hold);
     EXPECT_EQ(declined.current(), (Resources{0, 4}));
     EXPECT_EQ(declined.stats().declined, 1u);
+
+    // delta declines only live swaps (tests/plan/retarget_test.cpp pins
+    // that row): on this parked pipeline the shrink lands between segments.
+    rt::AutoscalerConfig between = config;
+    between.swap = rt::SwapPolicy::delta;
+    rt::Autoscaler<Frame> drained{pipeline, chain, {0, 4}, between};
+    EXPECT_EQ(drained.feed(0.1, 1), rt::ScaleDecision::hold);
+    EXPECT_EQ(drained.feed(0.1, 2), rt::ScaleDecision::shrink);
+    EXPECT_EQ(drained.current(), (Resources{0, 3}));
+    EXPECT_EQ(drained.stats().frame_swaps, 0u) << "parked: a drained swap, not a frame swap";
+    EXPECT_EQ(pipeline.execution_plan()->worker_count(), 3);
 }
 
 TEST(Autoscaler, MonitorHookSamplesUtilizationFromTheWatchdog)
@@ -240,9 +248,7 @@ TEST(Autoscaler, StressSurvivesRacingSwapsAndTeardown)
         const svc::PlannedSchedule big = plan_for(service, chain, {0, 4});
         bool use_big = true;
         while (!done.load()) {
-            const plan::ExecutionPlan& next = use_big ? *big.plan : *small.plan;
-            (void)pipeline.try_apply_delta_in_flight(
-                plan::diff(pipeline.execution_plan(), next));
+            (void)pipeline.retarget(use_big ? *big.plan : *small.plan);
             use_big = !use_big;
             std::this_thread::sleep_for(milliseconds{3});
         }

@@ -227,29 +227,23 @@ TEST(GraphPipeline, ResizeOnlySwapLandsOnABranchStageWithoutDraining)
         sequence, ExecutionPlan::compile(base.chain, base.shape, base.solutions),
         rt::PipelineConfig{}};
 
-    std::vector<std::uint64_t> delivered;
-    rt::RunResult result;
-    std::thread runner{[&] {
-        result = pipeline.run(kFrames, [&](Frame& f) { delivered.push_back(f.seq); });
-    }};
-
-    std::this_thread::sleep_for(milliseconds{10});
+    // Retargets issued from the output thread land while the segment runs.
     const Diamond grown = make_diamond(3);
-    const plan::PlanDelta grow = plan::diff(
-        pipeline.execution_plan(),
-        ExecutionPlan::compile(grown.chain, grown.shape, grown.solutions));
-    ASSERT_TRUE(grow.resize_only()) << grow.reason;
-    EXPECT_TRUE(pipeline.try_apply_delta_in_flight(grow));
-    EXPECT_EQ(pipeline.live_workers(), 6) << "the spawned branch replica joins live";
-
-    std::this_thread::sleep_for(milliseconds{10});
-    const plan::PlanDelta shrink = plan::diff(
-        pipeline.execution_plan(),
-        ExecutionPlan::compile(base.chain, base.shape, base.solutions));
-    ASSERT_TRUE(shrink.resize_only());
-    EXPECT_TRUE(pipeline.try_apply_delta_in_flight(shrink));
-
-    runner.join();
+    std::vector<std::uint64_t> delivered;
+    const rt::RunResult result = pipeline.run(kFrames, [&](Frame& f) {
+        delivered.push_back(f.seq);
+        if (f.seq == 100) {
+            EXPECT_EQ(pipeline.retarget(
+                          ExecutionPlan::compile(grown.chain, grown.shape, grown.solutions)),
+                      plan::SwapOutcome::frame);
+            EXPECT_EQ(pipeline.live_workers(), 6) << "the spawned branch replica joins live";
+        }
+        if (f.seq == 200) {
+            EXPECT_EQ(pipeline.retarget(
+                          ExecutionPlan::compile(base.chain, base.shape, base.solutions)),
+                      plan::SwapOutcome::frame);
+        }
+    });
 
     EXPECT_EQ(result.frames, kFrames);
     EXPECT_EQ(result.frames_dropped, 0u) << "an in-flight swap never drops frames";
@@ -257,7 +251,7 @@ TEST(GraphPipeline, ResizeOnlySwapLandsOnABranchStageWithoutDraining)
     for (std::size_t i = 0; i < delivered.size(); ++i)
         EXPECT_EQ(delivered[i], i);
     EXPECT_EQ(pipeline.live_workers(), 5) << "back to the base census after the shrink";
-    EXPECT_FALSE(pipeline.execution_plan().linear())
+    EXPECT_FALSE(pipeline.execution_plan()->linear())
         << "the swapped plan is still the DAG";
 }
 

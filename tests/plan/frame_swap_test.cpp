@@ -1,7 +1,7 @@
-// Frame-granular in-flight hot-swap: resize-only plan deltas are applied
-// mid-segment by Pipeline::try_apply_delta_in_flight (no drain -- spawned
+// Frame-granular in-flight hot-swap: a Pipeline::retarget issued while a
+// segment runs lands resize-only changes mid-segment (no drain -- spawned
 // workers join the live stream, retired workers finish their in-flight
-// frame and park), and run_with_recovery takes that path on a worker kill
+// frame and exit), and run_with_recovery takes that path on a worker kill
 // whose degraded optimum keeps the healthy cut on the same core types.
 
 #include "plan/execution_plan.hpp"
@@ -121,14 +121,16 @@ TEST(PipelineFrameSwap, RefusesNonResizeOnlyDeltas)
     auto seq = make_sequence(5);
     rt::Pipeline<Frame> pipeline{seq, compile_two_stage(chain, CoreType::big, 2),
                                  rt::PipelineConfig{}};
-    const plan::PlanDelta rebind =
-        plan::diff(pipeline.execution_plan(), compile_two_stage(chain, CoreType::little, 2));
-    ASSERT_TRUE(rebind.compatible);
-    EXPECT_FALSE(pipeline.try_apply_delta_in_flight(rebind))
-        << "a rebound delta must be declined, not applied";
-    EXPECT_TRUE(plan::same_topology(pipeline.execution_plan(),
-                                    compile_two_stage(chain, CoreType::big, 2)))
-        << "a declined swap must not mutate the plan";
+    const auto base = pipeline.execution_plan();
+    plan::SwapOutcome outcome = plan::SwapOutcome::none;
+    const rt::RunResult result = pipeline.run(50, [&](Frame& f) {
+        if (f.seq == 10) // the output thread: a segment is in flight
+            outcome = pipeline.retarget(compile_two_stage(chain, CoreType::little, 2));
+    });
+    EXPECT_EQ(result.frames, 50u);
+    EXPECT_EQ(outcome, plan::SwapOutcome::rebuild_required)
+        << "a rebound delta must be declined mid-segment, not applied";
+    EXPECT_EQ(pipeline.execution_plan(), base) << "a declined swap must not mutate the plan";
 }
 
 // The tentpole path: grow and then shrink the replicated stage while a
@@ -139,34 +141,26 @@ TEST(PipelineFrameSwap, GrowsAndShrinksMidSegment)
 {
     constexpr std::uint64_t kFrames = 400;
     const TaskChain chain = resize_only_chain();
-    auto seq = make_sequence(5, /*sleep_us=*/150); // ~60 ms of stream to swap inside
+    auto seq = make_sequence(5, /*sleep_us=*/150);
 
     rt::PipelineConfig config;
-    std::vector<std::uint64_t> delivered;
-    const auto collect = [&](Frame& f) {
-        EXPECT_EQ(f.value, 1 + 2 + 3 + 4 + 5) << "every task ran exactly once";
-        delivered.push_back(f.seq);
-    };
-
     rt::Pipeline<Frame> pipeline{seq, compile_two_stage(chain, CoreType::little, 2), config};
 
-    rt::RunResult result;
-    std::thread runner{[&] { result = pipeline.run(kFrames, collect); }};
-
-    std::this_thread::sleep_for(milliseconds{10});
-    const plan::PlanDelta grow =
-        plan::diff(pipeline.execution_plan(), compile_two_stage(chain, CoreType::little, 3));
-    ASSERT_TRUE(grow.resize_only());
-    EXPECT_TRUE(pipeline.try_apply_delta_in_flight(grow));
-    EXPECT_EQ(pipeline.live_workers(), 4) << "the spawned replica joins the live segment";
-
-    std::this_thread::sleep_for(milliseconds{10});
-    const plan::PlanDelta shrink =
-        plan::diff(pipeline.execution_plan(), compile_two_stage(chain, CoreType::little, 2));
-    ASSERT_TRUE(shrink.resize_only());
-    EXPECT_TRUE(pipeline.try_apply_delta_in_flight(shrink));
-
-    runner.join();
+    // Retargets issued from the output thread land while the segment runs.
+    std::vector<std::uint64_t> delivered;
+    const rt::RunResult result = pipeline.run(kFrames, [&](Frame& f) {
+        EXPECT_EQ(f.value, 1 + 2 + 3 + 4 + 5) << "every task ran exactly once";
+        delivered.push_back(f.seq);
+        if (f.seq == 100) {
+            EXPECT_EQ(pipeline.retarget(compile_two_stage(chain, CoreType::little, 3)),
+                      plan::SwapOutcome::frame);
+            EXPECT_EQ(pipeline.live_workers(), 4) << "the spawned replica joins the live segment";
+        }
+        if (f.seq == 200) {
+            EXPECT_EQ(pipeline.retarget(compile_two_stage(chain, CoreType::little, 2)),
+                      plan::SwapOutcome::frame);
+        }
+    });
 
     EXPECT_EQ(result.frames, kFrames);
     EXPECT_EQ(result.frames_dropped, 0u) << "an in-flight swap never drops frames";
@@ -198,10 +192,9 @@ TEST(PipelineFrameSwap, SurvivesRepeatedMidSegmentResizes)
         int replicas = 2;
         while (!done.load()) {
             replicas = replicas == 2 ? 3 : 2;
-            const plan::PlanDelta delta = plan::diff(
-                pipeline.execution_plan(),
-                compile_two_stage(chain, CoreType::little, replicas));
-            if (pipeline.try_apply_delta_in_flight(delta))
+            const plan::SwapOutcome outcome =
+                pipeline.retarget(compile_two_stage(chain, CoreType::little, replicas));
+            if (outcome == plan::SwapOutcome::frame || outcome == plan::SwapOutcome::drained)
                 ++applied;
             std::this_thread::sleep_for(milliseconds{2});
         }

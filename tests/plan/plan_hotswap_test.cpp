@@ -1,7 +1,7 @@
-// Runtime hot-swap through plan deltas: Pipeline::apply_delta resizes and
-// rebinds stages between stream segments without dropping or reordering
-// frames, and run_with_recovery uses the delta path (or the rebuild
-// fallback when disabled) to survive a worker kill.
+// Runtime hot-swap between stream segments: Pipeline::retarget on a parked
+// pipeline resizes and rebinds stages in place without dropping or
+// reordering frames, and run_with_recovery uses that drained path (or the
+// rebuild fallback when disabled) to survive a worker kill.
 
 #include "plan/execution_plan.hpp"
 #include "rt/fault.hpp"
@@ -78,9 +78,9 @@ TEST(PipelineApplyDelta, ResizesAndShrinksBetweenSegments)
     const plan::ExecutionPlan grown = plan::ExecutionPlan::compile(
         chain, core::Solution{std::vector<Stage>{{1, 1, 1, CoreType::big},
                                                  {2, 5, 3, CoreType::little}}});
-    const plan::PlanDelta grow = plan::diff(pipeline.execution_plan(), grown);
+    const plan::PlanDelta grow = plan::diff(initial, grown);
     ASSERT_TRUE(grow.compatible) << grow.reason;
-    pipeline.apply_delta(grow);
+    EXPECT_EQ(pipeline.retarget(grown), plan::SwapOutcome::drained);
     EXPECT_EQ(pipeline.live_workers(), 4);
     EXPECT_EQ(pipeline.spawned_workers(), 4);
 
@@ -91,11 +91,11 @@ TEST(PipelineApplyDelta, ResizesAndShrinksBetweenSegments)
     const plan::ExecutionPlan shrunk = plan::ExecutionPlan::compile(
         chain, core::Solution{std::vector<Stage>{{1, 1, 1, CoreType::little},
                                                  {2, 5, 2, CoreType::little}}});
-    const plan::PlanDelta shrink = plan::diff(pipeline.execution_plan(), shrunk);
+    const plan::PlanDelta shrink = plan::diff(grown, shrunk);
     ASSERT_TRUE(shrink.compatible) << shrink.reason;
     EXPECT_EQ(shrink.retired, 1);
     EXPECT_EQ(shrink.rebound, 1);
-    pipeline.apply_delta(shrink);
+    EXPECT_EQ(pipeline.retarget(shrunk), plan::SwapOutcome::drained);
     EXPECT_EQ(pipeline.live_workers(), 3);
     EXPECT_EQ(pipeline.spawned_workers(), 4) << "shrinking spawns nothing";
 
@@ -107,7 +107,7 @@ TEST(PipelineApplyDelta, ResizesAndShrinksBetweenSegments)
     for (std::size_t i = 0; i < delivered.size(); ++i)
         EXPECT_EQ(delivered[i], i);
 
-    EXPECT_TRUE(plan::same_topology(pipeline.execution_plan(), shrunk));
+    EXPECT_TRUE(plan::same_topology(*pipeline.execution_plan(), shrunk));
 }
 
 TEST(PipelineApplyDelta, RejectsIncompatibleDelta)
@@ -122,9 +122,11 @@ TEST(PipelineApplyDelta, RejectsIncompatibleDelta)
                                                  {3, 5, 2, CoreType::little}}});
 
     rt::Pipeline<Frame> pipeline{seq, initial, rt::PipelineConfig{}};
-    const plan::PlanDelta delta = plan::diff(pipeline.execution_plan(), recut);
-    ASSERT_FALSE(delta.compatible);
-    EXPECT_THROW(pipeline.apply_delta(delta), std::invalid_argument);
+    ASSERT_FALSE(plan::diff(initial, recut).compatible);
+    const auto before = pipeline.execution_plan();
+    EXPECT_EQ(pipeline.retarget(recut), plan::SwapOutcome::rebuild_required);
+    EXPECT_EQ(pipeline.execution_plan(), before) << "a recut leaves the pipeline untouched";
+    EXPECT_EQ(pipeline.run(10).frames, 10u);
 }
 
 /// Shared scenario: killing stage 0's only worker (a big core) re-solves to
