@@ -27,6 +27,12 @@ struct PinnedRow {
     int paper_little_used;
 };
 
+// gtest prints a parameter it cannot format as a byte dump, which here would
+// include the addresses of `id` and `profile`; those move with every process
+// under ASLR, and the dump ends up in the test names `gtest_discover_tests`
+// registers. Printing the row id keeps the names stable.
+void PrintTo(const PinnedRow& row, std::ostream* os) { *os << row.id; }
+
 Solution compute(const PinnedRow& row)
 {
     return schedule(ScheduleRequest{profile_chain(row.profile), row.resources, row.strategy})
