@@ -35,7 +35,6 @@ Arbiter::Arbiter(ArbiterConfig config)
     instruments_.probes = &registry.counter(obs::schema::kArbProbes);
     instruments_.grants = &registry.counter(obs::schema::kArbGrants);
     instruments_.frame_swaps = &registry.counter(obs::schema::kArbFrameSwaps);
-    instruments_.delta_swaps = &registry.counter(obs::schema::kArbDeltaSwaps);
     instruments_.rebuilds_required = &registry.counter(obs::schema::kArbRebuildsRequired);
     instruments_.tenant_count = &registry.gauge(obs::schema::kArbTenants);
     instruments_.starved = &registry.gauge(obs::schema::kArbStarvedTenants);
@@ -267,7 +266,6 @@ ArbitrationReport Arbiter::rearbitrate_locked()
     // Apply: re-solve and push every tenant whose budget changed.
     report.changes.reserve(ids.size());
     std::uint64_t frame_swaps = 0;
-    std::uint64_t delta_swaps = 0;
     std::uint64_t rebuilds = 0;
     std::uint64_t starved = 0;
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -298,7 +296,6 @@ ArbitrationReport Arbiter::rearbitrate_locked()
                     change.swap = tenant.endpoint->apply(*next.plan);
                     switch (change.swap) {
                     case plan::SwapOutcome::frame: ++frame_swaps; break;
-                    case plan::SwapOutcome::drained: ++delta_swaps; break;
                     case plan::SwapOutcome::rebuild_required: ++rebuilds; break;
                     case plan::SwapOutcome::none: break;
                     }
@@ -322,7 +319,6 @@ ArbitrationReport Arbiter::rearbitrate_locked()
     instruments_.probes->add(0, report.allocation.probes);
     instruments_.grants->add(0, report.allocation.steps.size());
     instruments_.frame_swaps->add(0, frame_swaps);
-    instruments_.delta_swaps->add(0, delta_swaps);
     instruments_.rebuilds_required->add(0, rebuilds);
     instruments_.tenant_count->set(static_cast<double>(tenants_.size()));
     instruments_.starved->set(static_cast<double>(starved));

@@ -15,10 +15,9 @@
 // one rt::Pipeline::retarget), which reports a plan::SwapOutcome:
 //
 //   * budget unchanged            -> nothing pushed (SwapOutcome::none)
-//   * resize-only change, live    -> frame: in-flight swap, no drain
-//   * compatible change, parked   -> drained: between-segment swap
-//   * anything else (recut, or a  -> rebuild_required; the new plan is
-//     rebind while live)             stored in the tenant status and the
+//   * resize-only change          -> frame: swapped in place, no drain
+//   * anything else (a recut or   -> rebuild_required; the new plan is
+//     a rebind)                      stored in the tenant status and the
 //                                    owner rebuilds its executor from it
 //
 // Tenant join / leave / weight change / chain drift mark the arbiter dirty;
@@ -201,7 +200,6 @@ private:
         obs::Counter* probes = nullptr;
         obs::Counter* grants = nullptr;
         obs::Counter* frame_swaps = nullptr;
-        obs::Counter* delta_swaps = nullptr;
         obs::Counter* rebuilds_required = nullptr;
         obs::Gauge* tenant_count = nullptr;
         obs::Gauge* starved = nullptr;

@@ -308,16 +308,13 @@ FailureSimulationResult simulate_with_failures(const core::TaskChain& chain,
             }
             record.new_solution = next;
 
-            // Would the runtime hot-swap in place? Same decision rule as
-            // Pipeline::retarget: plan::diff against the running plan.
+            // Would the runtime frame-swap in place? Same rule as
+            // Pipeline::retarget: a resize-only plan::diff against the
+            // running plan skips the drain entirely, so the stall is
+            // detection + in-flight spawn; anything else is rebuilt.
             plan::ExecutionPlan next_plan = plan::ExecutionPlan::compile(chain, next);
-            const plan::PlanDelta delta = plan::diff(current_plan, next_plan);
-            record.delta_applied = delta.compatible;
-            if (faults.delta_swap_us.has_value() && delta.compatible)
-                record.downtime_us = faults.detection_us + *faults.delta_swap_us;
-            // Frame-granular in-flight swap: a resize-only delta skips the
-            // drain entirely, so the stall is detection + in-flight spawn.
-            if (faults.frame_swap_us.has_value() && delta.resize_only()) {
+            if (faults.frame_swap_us.has_value()
+                && plan::diff(current_plan, next_plan).resize_only()) {
                 record.frame_swap_applied = true;
                 record.downtime_us = faults.detection_us + *faults.frame_swap_us;
             }
@@ -691,49 +688,34 @@ AutoscaleSimResult simulate_autoscale(const AutoscaleScenario& scenario)
     if (scenario.initial.total() < 1)
         throw std::invalid_argument{"simulate_autoscale: empty initial pool"};
 
-    // Same clamp defaulting as the live Autoscaler: an unset max would
-    // forbid every grow.
-    rt::AutoscalePolicy policy = scenario.policy;
-    policy.max_pool.big = std::max(policy.max_pool.big, scenario.initial.big);
-    policy.max_pool.little = std::max(policy.max_pool.little, scenario.initial.little);
+    // The live Autoscaler's resize step; landing a re-solve in virtual time
+    // only adopts its period and energy.
+    double period_us = 0.0;
+    double energy_item = 0.0;
+    const auto adopt = [&](const core::Solution& solution) {
+        period_us = expected_period_us(scenario.chain, solution);
+        energy_item = core::energy_per_item(scenario.chain, solution, scenario.power);
+    };
+    rt::ResizeStep step{
+        scenario.chain, scenario.initial, scenario.policy, scenario.options,
+        [&scenario](const core::ScheduleRequest& request) {
+            return svc::PlannedSchedule{scenario.service != nullptr
+                                            ? scenario.service->solve(request)
+                                            : core::schedule(request),
+                                        nullptr};
+        },
+        [&adopt](const svc::PlannedSchedule& planned) {
+            adopt(planned.result.solution);
+            return plan::SwapOutcome::frame;
+        }};
+
+    // The initial solve seeds the warm-start frontier every resize reuses.
+    const svc::PlannedSchedule first = step.solve(scenario.initial);
+    if (!first.result.ok())
+        throw std::invalid_argument{"simulate_autoscale: initial pool admits no schedule"};
+    adopt(first.result.solution);
 
     AutoscaleSimResult result;
-    result.final_pool = scenario.initial;
-
-    // One warm-start chain threads through every re-solve of the replay,
-    // exactly like the live Autoscaler's retained frontier.
-    std::shared_ptr<const core::HeradFrontier> frontier;
-    std::uint64_t resolves = 0;
-    std::uint64_t warm_resolves = 0;
-    const auto solve_pool = [&](core::Resources target) -> core::ScheduleResult {
-        core::ScheduleRequest request{scenario.chain, target, core::Strategy::herad,
-                                      scenario.options};
-        request.priority = svc::kRecoveryPriority;
-        request.warm.frontier = frontier;
-        request.warm.keep_frontier = true;
-        core::ScheduleResult solved = scenario.service != nullptr
-                                          ? scenario.service->solve(request)
-                                          : core::schedule(request);
-        if (solved.ok()) {
-            if (solved.frontier != nullptr)
-                frontier = solved.frontier;
-            ++resolves;
-            // A service cache hit skipped the DP just like the incremental
-            // path did; count both as warm so replays through a shared
-            // (pre-populated) service stay trace-equal.
-            if (solved.warm_start || solved.cache_hit)
-                ++warm_resolves;
-        }
-        return solved;
-    };
-
-    const core::ScheduleResult first = solve_pool(scenario.initial);
-    if (!first.ok())
-        throw std::invalid_argument{"simulate_autoscale: initial pool admits no schedule"};
-    double period_us = expected_period_us(scenario.chain, first.solution);
-    double energy_item = core::energy_per_item(scenario.chain, first.solution, scenario.power);
-
-    rt::AutoscaleController controller{policy};
     double tracking_error_sum = 0.0;
     std::int64_t last_landed_us = std::numeric_limits<std::int64_t>::min();
     result.min_action_gap_us = scenario.horizon_us;
@@ -749,85 +731,41 @@ AutoscaleSimResult simulate_autoscale(const AutoscaleScenario& scenario)
         // stand-in for the pipeline's worst queue-depth fraction.
         const double capacity_fps = period_us > 0.0 ? 1e6 / period_us : 0.0;
         const double utilization = capacity_fps > 0.0 ? offered_fps / capacity_fps : 0.0;
-        ++result.samples;
-        tracking_error_sum += std::abs(utilization - policy.target_utilization);
+        tracking_error_sum += std::abs(utilization - step.policy().target_utilization);
         result.max_utilization = std::max(result.max_utilization, utilization);
 
-        const rt::ScaleDecision decision = controller.observe(utilization, now_us * 1000);
-        if (decision == rt::ScaleDecision::hold)
+        const rt::ResizeStep::Outcome outcome = step.feed(utilization, now_us * 1000);
+        if (outcome.decision == rt::ScaleDecision::hold)
             continue;
-
-        AutoscaleEventRecord event;
-        event.at_us = now_us;
-        event.decision = decision;
-        event.before = result.final_pool;
-        event.after = result.final_pool;
-        event.utilization = utilization;
-        event.period_us = period_us;
-        event.energy_per_item = energy_item;
-
-        // Mirror of rt::Autoscaler::feed: a grow has one stepped target; a
-        // shrink tries every legal candidate in preference order (cheapest
-        // resulting allocation first under policy.shrink_cheapest_first)
-        // until one admits a schedule.
-        core::ScheduleResult solved;
-        if (decision == rt::ScaleDecision::shrink) {
-            const auto candidates =
-                rt::AutoscaleController::shrink_candidates(policy, result.final_pool);
-            if (candidates.count == 0) {
-                ++result.clamped;
-                result.events.push_back(event);
-                continue;
-            }
-            bool landed = false;
-            for (int i = 0; i < candidates.count && !landed; ++i) {
-                const core::Resources target = candidates.target[static_cast<std::size_t>(i)];
-                solved = solve_pool(target);
-                if (solved.ok()) {
-                    result.final_pool = target;
-                    landed = true;
-                } else {
-                    ++result.infeasible;
-                }
-            }
-            if (!landed) {
-                result.events.push_back(event);
-                continue;
-            }
-        } else {
-            const auto target =
-                rt::AutoscaleController::stepped(policy, result.final_pool, decision);
-            if (!target) {
-                ++result.clamped;
-                result.events.push_back(event);
-                continue;
-            }
-            solved = solve_pool(*target);
-            if (!solved.ok()) {
-                ++result.infeasible;
-                result.events.push_back(event);
-                continue;
-            }
-            result.final_pool = *target;
+        if (outcome.landed) {
+            if (last_landed_us != std::numeric_limits<std::int64_t>::min())
+                result.min_action_gap_us =
+                    std::min(result.min_action_gap_us, now_us - last_landed_us);
+            last_landed_us = now_us;
         }
-        period_us = expected_period_us(scenario.chain, solved.solution);
-        energy_item = core::energy_per_item(scenario.chain, solved.solution, scenario.power);
-        event.after = result.final_pool;
-        event.period_us = period_us;
-        event.energy_per_item = energy_item;
-        event.warm = solved.warm_start || solved.cache_hit;
-        (decision == rt::ScaleDecision::grow ? result.grows : result.shrinks) += 1;
-        if (last_landed_us != std::numeric_limits<std::int64_t>::min())
-            result.min_action_gap_us =
-                std::min(result.min_action_gap_us, now_us - last_landed_us);
-        last_landed_us = now_us;
-        result.events.push_back(event);
+        result.events.push_back(AutoscaleEventRecord{.at_us = now_us,
+                                                     .decision = outcome.decision,
+                                                     .before = outcome.before,
+                                                     .after = outcome.after,
+                                                     .utilization = utilization,
+                                                     .period_us = period_us,
+                                                     .energy_per_item = energy_item,
+                                                     .warm = outcome.warm});
     }
 
-    result.warm_fraction =
-        resolves > 0 ? static_cast<double>(warm_resolves) / static_cast<double>(resolves) : 0.0;
+    const rt::AutoscalerStats& stats = step.stats();
+    result.samples = stats.samples;
+    result.grows = stats.grows;
+    result.shrinks = stats.shrinks;
+    result.clamped = stats.clamped;
+    result.infeasible = stats.infeasible;
+    // Every feasible re-solve lands in virtual time: the initial solve plus
+    // one per landed action.
+    result.warm_fraction = static_cast<double>(stats.warm_solves)
+        / static_cast<double>(1 + stats.grows + stats.shrinks);
     result.mean_tracking_error =
         result.samples > 0 ? tracking_error_sum / static_cast<double>(result.samples) : 0.0;
+    result.final_pool = step.current();
     result.final_period_us = period_us;
     return result;
 }

@@ -129,17 +129,11 @@ struct FailureModel {
     std::vector<SimFailure> failures;
     double detection_us = 200.0;  ///< watchdog heartbeat-timeout equivalent
     double reschedule_us = 50.0;  ///< solver + full pipeline rebuild cost
-    /// Swap cost when the post-loss schedule is plan-delta-compatible with
-    /// the running one (same stage cut: rt::Pipeline hot-swaps in place
-    /// instead of rebuilding). Unset = every recovery is charged
-    /// `reschedule_us`, i.e. the pre-delta behaviour.
-    std::optional<double> delta_swap_us{};
-    /// Swap cost when the delta is additionally *resize-only* (every stage
-    /// kept or resized, nothing rebound): the runtime applies it mid-segment
-    /// without draining (Pipeline::retarget's frame outcome), so the stall
-    /// is the in-flight spawn cost, not a drain. Takes precedence over
-    /// `delta_swap_us` when both are set and the delta qualifies. Unset =
-    /// resize-only deltas are charged like any compatible delta.
+    /// Swap cost when the post-loss plan delta is *resize-only* (every stage
+    /// kept or resized, nothing rebound or recut): the runtime applies it
+    /// mid-segment without draining (Pipeline::retarget's frame outcome),
+    /// so the stall is the in-flight spawn cost, not a drain and rebuild.
+    /// Unset = every recovery is charged `reschedule_us`.
     std::optional<double> frame_swap_us{};
     rt::ReschedulePolicy policy{};
 };
@@ -153,9 +147,6 @@ struct RecoveryRecord {
     core::Solution new_solution;       ///< schedule the pipeline resumed with
     double downtime_us = 0.0;          ///< detection + reschedule/swap stall
     std::uint64_t frames_dropped = 0;  ///< in-flight frames lost to the event
-    /// True when the new schedule keeps the old stage cut (plan::diff
-    /// compatible), i.e. the runtime would hot-swap in place.
-    bool delta_applied = false;
     /// True when the delta is resize-only *and* FailureModel::frame_swap_us
     /// is set: the runtime would swap mid-segment without draining.
     bool frame_swap_applied = false;
@@ -366,10 +357,11 @@ struct MultiTenantResult {
 //
 // Virtual-time replay of the rt::Autoscaler control loop against a scripted
 // offered-load profile. As with the admission and multi-tenant replays the
-// decision logic is not re-implemented: the replay drives the real
-// rt::AutoscaleController (hysteresis, patience, cooldown, clamps) and the
-// real warm-start solver, so a live autoscaler fed the same utilization
-// series takes the same actions. Utilization is offered load over delivered
+// decision logic is not re-implemented: the replay feeds the live
+// autoscaler's own rt::ResizeStep (controller hysteresis, patience,
+// cooldown and clamps, then the warm-start re-solve), landing every
+// feasible re-solve, so a live autoscaler fed the same utilization series
+// takes the same actions. Utilization is offered load over delivered
 // capacity (offered_fps * period_us / 1e6); both sides of the loop are
 // deterministic, so equal scenarios produce identical event traces.
 

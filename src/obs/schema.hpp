@@ -101,8 +101,6 @@ inline constexpr const char* kArbProbes = "amp_arb_probes_total";
 inline constexpr const char* kArbGrants = "amp_arb_grants_total";
 /// Budget changes applied to live executors without a drain.
 inline constexpr const char* kArbFrameSwaps = "amp_arb_frame_swaps_total";
-/// Budget changes applied as between-segment plan deltas.
-inline constexpr const char* kArbDeltaSwaps = "amp_arb_delta_swaps_total";
 /// Budget changes a live executor could not absorb (owner must rebuild).
 inline constexpr const char* kArbRebuildsRequired = "amp_arb_rebuilds_required_total";
 inline constexpr const char* kArbTenants = "amp_arb_tenants";

@@ -154,8 +154,7 @@ struct PlanDelta {
 /// (rt::Pipeline::retarget; arb::TenantEndpoint::apply reports the same).
 enum class SwapOutcome : std::uint8_t {
     none,             ///< same plan; nothing changed
-    frame,            ///< resize-only change landed mid-segment, no drain
-    drained,          ///< compatible change landed between segments
+    frame,            ///< resize-only change landed in place, no drain
     rebuild_required, ///< executor untouched; the owner must rebuild it
 };
 
@@ -164,7 +163,6 @@ enum class SwapOutcome : std::uint8_t {
     switch (outcome) {
     case SwapOutcome::none: return "none";
     case SwapOutcome::frame: return "frame";
-    case SwapOutcome::drained: return "drained";
     case SwapOutcome::rebuild_required: return "rebuild_required";
     }
     return "?";

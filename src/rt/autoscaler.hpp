@@ -8,26 +8,26 @@
 //     a cooldown between actions, and min/max pool clamps. Feed it one
 //     utilization sample per observation window and it answers
 //     hold/grow/shrink.
+//   * ResizeStep -- one decide -> solve -> land step around the
+//     controller: a grow or shrink decision is re-solved through the
+//     warm-start solver (core::WarmStart -- a resize re-solve reuses the
+//     retained DP frontier) and handed to a caller-supplied land step.
 //   * Autoscaler<T> -- closes the loop on a live pipeline: samples the
 //     worst queue-depth fraction from the pipeline's overload monitor
-//     (Pipeline::set_monitor_hook, watchdog thread), re-solves the changed
-//     budget through the warm-start solver (core::WarmStart -- a resize
-//     re-solve reuses the retained DP frontier), and lands the resulting
-//     plan with one Pipeline::retarget (mid-segment: a frame swap). An
-//     on_resize callback lets arb::Arbiter tenants return freed cores to
-//     the shared pool (Arbiter::set_quota).
+//     (Pipeline::set_monitor_hook, watchdog thread) and feeds it to a
+//     ResizeStep whose land step is one Pipeline::retarget (mid-segment: a
+//     frame swap). An on_resize callback lets arb::Arbiter tenants return
+//     freed cores to the shared pool (Arbiter::set_quota).
 //
-// dsim::simulate_autoscale drives the same controller and solver in
-// virtual time against scripted load profiles; benchmarks/ext_autoscale.cpp
-// measures warm vs cold re-solve latency and controller tracking.
+// dsim::simulate_autoscale feeds the same ResizeStep in virtual time
+// against scripted load profiles; benchmarks/ext_autoscale.cpp measures
+// warm vs cold re-solve latency and controller tracking.
 
 #include "core/chain.hpp"
 #include "core/power.hpp"
 #include "core/scheduler.hpp"
 #include "plan/execution_plan.hpp"
 #include "rt/pipeline.hpp"
-#include "rt/rescheduler.hpp"
-#include "svc/admission.hpp"
 #include "svc/solver_service.hpp"
 
 #include <algorithm>
@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 namespace amp::rt {
@@ -136,7 +137,7 @@ public:
     /// best first. Legacy order frees the reverse of grow_first; with
     /// policy.shrink_cheapest_first the candidates are reordered by the
     /// power of the resulting allocation, ascending (ties keep the legacy
-    /// order). Autoscaler::feed tries them in order until one lands, so an
+    /// order). ResizeStep::feed tries them in order until one lands, so an
     /// infeasible cheapest target degrades to the next candidate instead of
     /// absorbing the shrink.
     struct ShrinkCandidates {
@@ -213,31 +214,81 @@ private:
     std::int64_t last_action_ns_ = 0;
 };
 
-/// Counters of one Autoscaler's lifetime (all under its mutex).
+/// Counters of one ResizeStep's lifetime.
 struct AutoscalerStats {
     std::uint64_t samples = 0;     ///< utilization windows fed
-    std::uint64_t grows = 0;       ///< grow actions landed on the pipeline
+    std::uint64_t grows = 0;       ///< grow actions landed
     std::uint64_t shrinks = 0;     ///< shrink actions landed
-    std::uint64_t frame_swaps = 0; ///< landed mid-segment (SwapOutcome::frame)
+    std::uint64_t frame_swaps = 0; ///< landed as SwapOutcome::frame
     std::uint64_t noop_resizes = 0; ///< budget adopted, plan unchanged
-    std::uint64_t warm_solves = 0; ///< re-solves that skipped the cold DP (warm or cache hit)
+    std::uint64_t warm_solves = 0; ///< feasible re-solves that skipped the cold DP
     std::uint64_t clamped = 0;     ///< decisions absorbed by min/max clamps
-    std::uint64_t declined = 0;    ///< retargets that reported rebuild_required
+    std::uint64_t declined = 0;    ///< land steps that reported rebuild_required
     std::uint64_t infeasible = 0;  ///< targets admitting no schedule
+};
+
+/// The autoscaler's decide -> solve -> land step, shared by Autoscaler<T>
+/// (land = Pipeline::retarget) and dsim::simulate_autoscale (land always
+/// succeeds, in virtual time). Each fed sample goes to the controller; a
+/// grow re-solves the stepped target, a shrink tries the ordered
+/// shrink_candidates() until one lands, so an infeasible or declined
+/// cheapest target degrades to the next one instead of absorbing the
+/// shrink. Every re-solve is a warm HeRAD request on the DP frontier
+/// retained across calls. Single-threaded: Autoscaler<T> guards it with
+/// its mutex.
+class ResizeStep {
+public:
+    /// Answers one re-solve request. Autoscaler<T> asks
+    /// SolverService::solve_planned for the cached plan it lands; dsim
+    /// solves without compiling (plan left null).
+    using Solve = std::function<svc::PlannedSchedule(const core::ScheduleRequest&)>;
+    /// Lands a feasible re-solve; rebuild_required declines it.
+    using Land = std::function<plan::SwapOutcome(const svc::PlannedSchedule&)>;
+
+    /// What one feed() did.
+    struct Outcome {
+        ScaleDecision decision = ScaleDecision::hold; ///< the controller's verdict
+        bool landed = false;     ///< a re-solved target landed
+        core::Resources before{};
+        core::Resources after{}; ///< == before unless landed
+        bool warm = false;       ///< the landed re-solve skipped the cold DP
+    };
+
+    /// An unset max clamp would forbid every grow: policy.max_pool defaults
+    /// to `initial` on each axis it falls short of.
+    ResizeStep(core::TaskChain chain, core::Resources initial, AutoscalePolicy policy,
+               core::ScheduleOptions options, Solve solve, Land land);
+
+    /// Feeds one utilization sample taken at `now_ns` and lands the
+    /// resulting action, if any.
+    Outcome feed(double utilization, std::int64_t now_ns);
+
+    /// One warm HeRAD re-solve of `target` on the retained frontier.
+    svc::PlannedSchedule solve(core::Resources target);
+
+    [[nodiscard]] core::Resources current() const noexcept { return current_; }
+    [[nodiscard]] const AutoscalerStats& stats() const noexcept { return stats_; }
+    [[nodiscard]] const AutoscalePolicy& policy() const noexcept { return policy_; }
+
+private:
+    bool try_land(core::Resources target, Outcome& outcome);
+
+    core::TaskChain chain_;
+    core::Resources current_;
+    AutoscalePolicy policy_;
+    core::ScheduleOptions options_;
+    Solve solve_;
+    Land land_;
+    AutoscaleController controller_;
+    std::shared_ptr<const core::HeradFrontier> frontier_;
+    AutoscalerStats stats_{};
 };
 
 struct AutoscalerConfig {
     AutoscalePolicy policy{};
-    /// How scale actions may land (Pipeline::retarget). frame_first (the
-    /// default) is the only policy that lands while a segment is in
-    /// flight; stricter policies decline live swaps (counted, pipeline
-    /// untouched).
-    SwapPolicy swap = SwapPolicy::frame_first;
     /// Solver service re-solves go through (null = svc::shared_service()).
     svc::SolverService* service = nullptr;
     core::ScheduleOptions options{};
-    /// Reclaim budget for the in-flight swap.
-    std::chrono::milliseconds reclaim_timeout{200};
     /// Invoked (on the feeding thread, i.e. the watchdog) after every
     /// adopted resize with the new budget -- e.g. push
     /// arb::Arbiter::set_quota so freed cores return to the shared pool at
@@ -247,18 +298,24 @@ struct AutoscalerConfig {
 
 /// Closes the control loop on one live pipeline. Attach installs the
 /// monitor-hook sampler (requires PipelineConfig::overload.enabled);
-/// feed()/observe() are the deterministic entry points tests and dsim call
-/// directly with explicit timestamps.
+/// feed() is the deterministic entry point tests call directly with
+/// explicit timestamps.
 template <typename T>
 class Autoscaler {
 public:
     Autoscaler(Pipeline<T>& pipeline, core::TaskChain chain, core::Resources initial,
                AutoscalerConfig config = {})
         : pipeline_(&pipeline)
-        , chain_(std::move(chain))
-        , current_(initial)
-        , config_(std::move(config))
-        , controller_(config_.policy)
+        , on_resize_(std::move(config.on_resize))
+        , step_(std::move(chain), initial, config.policy, config.options,
+                [this, service = config.service](const core::ScheduleRequest& request) {
+                    svc::SolverService& solver =
+                        service != nullptr ? *service : svc::shared_service();
+                    return solver.solve_planned(request, pipeline_->execution_plan()->options());
+                },
+                [this](const svc::PlannedSchedule& planned) {
+                    return pipeline_->retarget(*planned.plan);
+                })
     {
         // Autoscaling re-solves the chain as one linear pipeline and
         // retargets the wrapped pipeline onto it. A DAG plan's stage cut
@@ -270,13 +327,6 @@ public:
             throw std::invalid_argument{
                 "Autoscaler: the pipeline runs a DAG plan; autoscaling "
                 "requires a linear (single-branch) plan"};
-        // An unset max clamp would forbid every grow; default to "resize
-        // within the initial budget per axis, at least one of each present".
-        if (config_.policy.max_pool.big < initial.big)
-            config_.policy.max_pool.big = initial.big;
-        if (config_.policy.max_pool.little < initial.little)
-            config_.policy.max_pool.little = initial.little;
-        controller_ = AutoscaleController{config_.policy};
     }
 
     /// Installs the utilization sampler on the pipeline's overload monitor.
@@ -300,113 +350,30 @@ public:
     ScaleDecision feed(double utilization, std::int64_t now_ns)
     {
         std::lock_guard lock{mutex_};
-        ++stats_.samples;
-        const ScaleDecision decision = controller_.observe(utilization, now_ns);
-        if (decision == ScaleDecision::hold)
+        const ResizeStep::Outcome outcome = step_.feed(utilization, now_ns);
+        if (!outcome.landed)
             return ScaleDecision::hold;
-        if (decision == ScaleDecision::shrink) {
-            // Try every legal shrink target in preference order (cheapest
-            // resulting allocation first under shrink_cheapest_first): a
-            // target the solver can't schedule shouldn't absorb the shrink
-            // while the other axis still has cores to give back.
-            const auto candidates =
-                AutoscaleController::shrink_candidates(config_.policy, current_);
-            if (candidates.count == 0) {
-                ++stats_.clamped;
-                return ScaleDecision::hold;
-            }
-            for (int i = 0; i < candidates.count; ++i) {
-                if (resize_locked(candidates.target[static_cast<std::size_t>(i)])) {
-                    ++stats_.shrinks;
-                    return ScaleDecision::shrink;
-                }
-            }
-            return ScaleDecision::hold;
-        }
-        const auto target = AutoscaleController::stepped(config_.policy, current_, decision);
-        if (!target) {
-            ++stats_.clamped;
-            return ScaleDecision::hold;
-        }
-        if (!resize_locked(*target))
-            return ScaleDecision::hold;
-        ++stats_.grows;
-        return decision;
-    }
-
-    /// Telemetry-snapshot entry point (the same type Rescheduler::observe
-    /// consumes): feeds the queue-depth signal when the snapshot carries
-    /// one.
-    ScaleDecision observe(const TelemetrySnapshot& telemetry)
-    {
-        if (telemetry.queue_depth_frac < 0.0)
-            return ScaleDecision::hold;
-        return feed(telemetry.queue_depth_frac, telemetry.at_ns);
+        if (on_resize_)
+            on_resize_(outcome.after);
+        return outcome.decision;
     }
 
     [[nodiscard]] core::Resources current() const
     {
         std::lock_guard lock{mutex_};
-        return current_;
+        return step_.current();
     }
 
     [[nodiscard]] AutoscalerStats stats() const
     {
         std::lock_guard lock{mutex_};
-        return stats_;
+        return step_.stats();
     }
 
 private:
-    /// Re-solves `target` warm and retargets the pipeline onto the result
-    /// under the configured SwapPolicy. Called under mutex_.
-    bool resize_locked(core::Resources target)
-    {
-        core::ScheduleRequest request{chain_, target, core::Strategy::herad, config_.options};
-        request.priority = svc::kRecoveryPriority;
-        request.warm.frontier = frontier_;
-        request.warm.keep_frontier = true;
-
-        svc::SolverService& service =
-            config_.service != nullptr ? *config_.service : svc::shared_service();
-        svc::PlannedSchedule planned =
-            service.solve_planned(request, pipeline_->execution_plan()->options());
-        if (!planned.result.ok() || planned.plan == nullptr) {
-            ++stats_.infeasible;
-            return false;
-        }
-        if (planned.result.frontier != nullptr)
-            frontier_ = std::move(planned.result.frontier);
-        // A service cache hit skipped the cold DP just like the incremental
-        // path did (cached copies are frontier-stripped, so it can't also
-        // report warm_start); both count as warm for the tracking stats.
-        if (planned.result.warm_start || planned.result.cache_hit)
-            ++stats_.warm_solves;
-
-        switch (pipeline_->retarget(*planned.plan, config_.swap, config_.reclaim_timeout)) {
-        case plan::SwapOutcome::none:
-            // The changed budget buys (or costs) nothing schedulable --
-            // adopt it without touching the pipeline. A shrink hands the
-            // idle core back (on_resize tells the arbiter); a grow stops
-            // repeating once the clamp is reached.
-            ++stats_.noop_resizes;
-            break;
-        case plan::SwapOutcome::frame: ++stats_.frame_swaps; break;
-        case plan::SwapOutcome::drained: break;
-        case plan::SwapOutcome::rebuild_required: ++stats_.declined; return false;
-        }
-        current_ = target;
-        if (config_.on_resize)
-            config_.on_resize(target);
-        return true;
-    }
-
     Pipeline<T>* pipeline_;
-    core::TaskChain chain_;
-    core::Resources current_;
-    AutoscalerConfig config_;
-    AutoscaleController controller_;
-    std::shared_ptr<const core::HeradFrontier> frontier_;
-    AutoscalerStats stats_{};
+    std::function<void(core::Resources)> on_resize_;
+    ResizeStep step_;
     mutable std::mutex mutex_;
 };
 

@@ -12,17 +12,19 @@
 // reordering and no buffering beyond one in-flight round.
 //
 // Replicated consumers: multiple workers may serve the merge stage. Rounds
-// are serialized by a timed mutex so exactly one worker pops a given round;
-// the others block on the mutex (bounded waits so they can still observe
-// fences/cancellation). If a worker must abandon a round mid-way -- its
-// queue pop timed out and the caller asked to cancel (fence observed, frame
-// swap pending) -- the partial round is parked inside the gate and the next
-// worker resumes it at the same input, so no queue is popped twice for one
-// sequence number and no sequence is skipped.
+// are serialized by a round flag (a mutex plus a condition variable) so
+// exactly one worker pops a given round; the others wait for the flag
+// (bounded waits so they can still observe fences/cancellation). If a
+// worker must abandon a round mid-way -- its queue pop timed out and the
+// caller asked to cancel (fence observed, frame swap pending) -- the
+// partial round is parked inside the gate and the next worker resumes it
+// at the same input, so no queue is popped twice for one sequence number
+// and no sequence is skipped.
 
 #include "rt/envelope.hpp"
 #include "rt/ordered_queue.hpp"
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
@@ -61,7 +63,7 @@ public:
     FanInGate& operator=(const FanInGate&) = delete;
 
     /// Pops the next merged envelope. `slice` bounds each internal wait (the
-    /// round mutex and every queue pop) so the caller regains control to run
+    /// round flag and every queue pop) so the caller regains control to run
     /// `on_wait` -- the same heartbeat hook stage workers use while blocked.
     /// When a pop times out and `cancelled()` is true, the partial round is
     /// parked and the call returns timed_out; a later call (any worker)
@@ -71,12 +73,18 @@ public:
     Result pop_round(std::chrono::duration<Rep, Period> slice, OnWait&& on_wait,
                      Cancelled&& cancelled)
     {
-        std::unique_lock lock{mutex_, std::defer_lock};
-        while (!lock.try_lock_for(slice)) {
-            on_wait();
-            if (cancelled())
-                return Result{std::nullopt, false};
+        {
+            std::unique_lock lock{mutex_};
+            while (!round_free_.wait_for(lock, slice, [this] { return !in_round_; })) {
+                lock.unlock();
+                on_wait();
+                if (cancelled())
+                    return Result{std::nullopt, false};
+                lock.lock();
+            }
+            in_round_ = true;
         }
+        const RoundGuard guard{*this};
 
         Envelope<T> acc;
         std::size_t next = 0;
@@ -135,6 +143,19 @@ private:
         std::size_t next_input = 0;
     };
 
+    /// Ends the owner's round on every exit path, waking one waiter.
+    struct RoundGuard {
+        FanInGate& gate;
+        ~RoundGuard()
+        {
+            {
+                std::lock_guard lock{gate.mutex_};
+                gate.in_round_ = false;
+            }
+            gate.round_free_.notify_one();
+        }
+    };
+
     void combine(Envelope<T>& acc, Envelope<T>& in, int ordinal)
     {
         if (in.seq != acc.seq || in.end != acc.end)
@@ -148,8 +169,10 @@ private:
 
     std::vector<OrderedQueue<T>*> inputs_;
     Merge merge_;
-    std::timed_mutex mutex_;
-    std::optional<Partial> partial_; ///< round abandoned by a cancelled worker
+    std::mutex mutex_;
+    std::condition_variable round_free_;
+    bool in_round_ = false;          ///< a worker owns the current round (under mutex_)
+    std::optional<Partial> partial_; ///< round abandoned by a cancelled worker (round owner only)
 };
 
 } // namespace amp::rt

@@ -22,14 +22,13 @@
 // run) and parked on an epoch condition variable between stream segments,
 // so run() can be called repeatedly. retarget() re-maps the pipeline onto
 // a new plan in place (docs/EXECUTION_PLAN.md §3): it diffs the target
-// against the running plan under the swap lock and lands the change --
-// untouched stages keep their threads and queues; only the workers the
-// plan::PlanDelta names are spawned or retired. Between segments any
-// compatible change lands (rebinds included). While a segment is in flight
-// only resize-only changes land, at a frame boundary *without draining the
+// against the running plan under the swap lock and lands a resize-only
+// change -- untouched stages keep their threads and queues; only the
+// workers the plan::PlanDelta names are spawned or retired. While a segment
+// is in flight the change lands at a frame boundary *without draining the
 // stream*: spawned workers enter the current epoch and start pulling
 // frames immediately; retired workers finish their in-flight frame and
-// exit. Anything else -- a recut, a rebind mid-segment -- is reported as
+// exit. Anything else -- a recut, a rebind -- is reported as
 // SwapOutcome::rebuild_required with the pipeline untouched. A loss handler
 // (set_loss_handler) installed by run_with_recovery turns a watchdog fence
 // into such an in-flight swap, which is what cuts recovery latency below
@@ -182,35 +181,6 @@ struct RunResult {
         return elapsed_seconds > 0.0 ? static_cast<double>(frames) / elapsed_seconds : 0.0;
     }
 };
-
-/// How far Pipeline::retarget may go. One ladder shared by
-/// run_with_recovery, the arbiter's pipeline endpoint
-/// (rt::PipelineTenantEndpoint) and the autoscaler (rt::Autoscaler); the
-/// outcome table is in docs/EXECUTION_PLAN.md §3.2. Each level includes
-/// everything below it.
-enum class SwapPolicy : std::uint8_t {
-    /// Never mutate a built pipeline: every change reports rebuild_required
-    /// (the owner drains, tears down and rebuilds).
-    rebuild_only,
-    /// Land compatible changes between segments (untouched stages keep
-    /// their threads and queues); a run in progress reports
-    /// rebuild_required.
-    delta,
-    /// Also land *resize-only* changes mid-segment without draining:
-    /// replacement workers join the live stream at the next frame
-    /// boundary. The default.
-    frame_first,
-};
-
-[[nodiscard]] constexpr const char* to_string(SwapPolicy policy) noexcept
-{
-    switch (policy) {
-    case SwapPolicy::rebuild_only: return "rebuild_only";
-    case SwapPolicy::delta: return "delta";
-    case SwapPolicy::frame_first: return "frame_first";
-    }
-    return "?";
-}
 
 /// Pins the calling thread to the given CPU. Returns false when pinning is
 /// unsupported or fails (never fatal: placement is a performance hint).
@@ -461,36 +431,28 @@ public:
     /// and to segment setup; whether a run is in progress is the
     /// pipeline's own state, never the caller's:
     ///
-    ///   * same plan, every slot staffed          -> none
-    ///   * parked, compatible change              -> drained: lands between
-    ///       segments; untouched stages keep their threads and queues and
-    ///       rebound stages run on their new core type from the next one
-    ///   * live, resize-only change, frame_first  -> frame: spawned workers
-    ///       join the running segment, retired ones finish their frame
-    ///   * anything else -- a recut, a rebind while live, a stricter
-    ///     policy, a target the task sequence cannot run, or a stateful
-    ///     stage whose original tasks are not free within
-    ///     `reclaim_timeout`                      -> rebuild_required
+    ///   * same plan, every slot staffed -> none
+    ///   * resize-only change (refilling a fenced worker's slot included)
+    ///                                   -> frame: lands in place; live, at
+    ///       a frame boundary (spawned workers join the running segment,
+    ///       retired ones finish their frame); parked, before the next one
+    ///   * anything else -- a recut, a rebind, a target the task sequence
+    ///     cannot run, or a stateful stage whose original tasks are not
+    ///     free within kReclaimTimeout -> rebuild_required
     ///
     /// rebuild_required leaves the pipeline untouched; the owner rebuilds
     /// it from `target`. Never throws on a bad target; safe from any
     /// thread, including the loss handler and the monitor hook. Workers
     /// spawned mid-run are not traced (obs tracks cannot be added while
     /// producers emit); their metrics are recorded as usual.
-    [[nodiscard]] plan::SwapOutcome retarget(const plan::ExecutionPlan& target,
-                                             SwapPolicy policy = SwapPolicy::frame_first,
-                                             std::chrono::milliseconds reclaim_timeout =
-                                                 std::chrono::milliseconds{200})
+    [[nodiscard]] plan::SwapOutcome retarget(const plan::ExecutionPlan& target)
     {
         using plan::SwapOutcome;
         std::lock_guard swap_lock{swap_mutex_};
         const plan::PlanDelta delta = plan::diff(*plan_, target);
         if (delta.empty() && census_complete())
             return SwapOutcome::none;
-        const bool landable = running_
-            ? policy == SwapPolicy::frame_first && delta.resize_only()
-            : policy != SwapPolicy::rebuild_only && delta.compatible;
-        if (!landable)
+        if (!delta.resize_only())
             return SwapOutcome::rebuild_required;
         std::shared_ptr<const plan::ExecutionPlan> next;
         try {
@@ -499,10 +461,10 @@ public:
         } catch (const std::invalid_argument&) { // PlanError included
             return SwapOutcome::rebuild_required;
         }
-        if (running_ && !reclaim_originals(*next, reclaim_timeout))
+        if (running_ && !reclaim_originals(*next))
             return SwapOutcome::rebuild_required;
         land(std::move(next));
-        return running_ ? SwapOutcome::frame : SwapOutcome::drained;
+        return SwapOutcome::frame;
     }
 
     /// Invoked on the watchdog thread after it fences a worker (the loss is
@@ -550,7 +512,7 @@ private:
     static constexpr std::uint64_t kNoFrame = WorkerLoss::kNoFrame;
 
     /// A stage's queue endpoints, resolved once at materialize (the queue
-    /// topology is immutable for the pipeline's lifetime -- compatible
+    /// topology is immutable for the pipeline's lifetime -- resize-only
     /// deltas never change it). Fan-in stages (>1 input) share one merge
     /// gate between their workers.
     struct StageIO {
@@ -957,14 +919,18 @@ private:
             dismiss(*victim);
     }
 
+    /// Bound on reclaim_originals' wait.
+    static constexpr std::chrono::milliseconds kReclaimTimeout{200};
+
     /// Mid-segment, a stage below its target whose tasks cannot clone can
     /// only be refilled with the sequence's original task instances: waits
-    /// (bounded) for their previous owner to finish its in-flight frame.
-    /// False when one never does (e.g. a stalled-but-alive fenced worker
-    /// still running user code). Caller holds swap_mutex_.
-    bool reclaim_originals(const plan::ExecutionPlan& next, std::chrono::milliseconds timeout)
+    /// (at most kReclaimTimeout) for their previous owner to finish its
+    /// in-flight frame. False when one never does (e.g. a
+    /// stalled-but-alive fenced worker still running user code). Caller
+    /// holds swap_mutex_.
+    bool reclaim_originals(const plan::ExecutionPlan& next)
     {
-        const auto deadline = std::chrono::steady_clock::now() + timeout;
+        const auto deadline = std::chrono::steady_clock::now() + kReclaimTimeout;
         for (const plan::PlanStage& stage : next.stages()) {
             if (stage_cloneable(stage.index))
                 continue;
@@ -983,19 +949,15 @@ private:
         return true;
     }
 
-    /// Publishes `next` -- a validated, compatible successor of the running
-    /// plan -- and reconciles the worker census with it. Compatible plans
-    /// keep every stage interval, and running workers hold references into
-    /// stages_, so the specs change in place (a rebind only ever lands
-    /// between segments). Caller holds swap_mutex_.
+    /// Publishes `next` -- a validated, resize-only successor of the
+    /// running plan -- and reconciles the worker census with it. Stage
+    /// intervals and core types are unchanged, and running workers hold
+    /// references into stages_, so only the replica counts change in
+    /// place. Caller holds swap_mutex_.
     void land(std::shared_ptr<const plan::ExecutionPlan> next)
     {
-        for (const plan::PlanStage& stage : next->stages()) {
-            core::Stage& spec = stages_[static_cast<std::size_t>(stage.index)];
-            spec.cores = stage.replicas;
-            if (spec.type != stage.type)
-                spec.type = stage.type;
-        }
+        for (const plan::PlanStage& stage : next->stages())
+            stages_[static_cast<std::size_t>(stage.index)].cores = stage.replicas;
         {
             std::lock_guard lock{plan_mutex_};
             plan_ = next;

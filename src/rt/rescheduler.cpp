@@ -6,7 +6,6 @@
 
 namespace amp::rt {
 
-
 Rescheduler::Rescheduler(core::TaskChain chain, core::Resources resources,
                          ReschedulePolicy policy)
     : chain_(std::move(chain))
@@ -149,45 +148,6 @@ std::optional<core::Solution> Rescheduler::observe(const TelemetrySnapshot& tele
     drifted_big_.clear();
     drifted_little_.clear();
     return recompute();
-}
-
-core::Solution Rescheduler::resize_to(core::Resources target)
-{
-    if (target.big < 0 || target.little < 0 || target.total() < 1)
-        throw NoScheduleError{"resize_to: the target resource vector is empty"};
-    if (target == resources_)
-        return solution_;
-
-    // Warm fast path: a HeRAD primary answers a resize from the retained DP
-    // frontier (backwalk or extension) instead of re-running the candidate
-    // batch. The first resize runs cold and collects the frontier.
-    if (policy_.primary == core::Strategy::herad) {
-        core::ScheduleRequest request{chain_, target, core::Strategy::herad};
-        request.priority = svc::kRecoveryPriority;
-        request.warm.frontier = frontier_;
-        request.warm.keep_frontier = true;
-        svc::SolverService& service =
-            policy_.service != nullptr ? *policy_.service : svc::shared_service();
-        core::ScheduleResult result = service.solve(request);
-        if (result.ok()) {
-            if (result.frontier != nullptr)
-                frontier_ = std::move(result.frontier);
-            resources_ = target;
-            solution_ = std::move(result.solution);
-            return solution_;
-        }
-        // Infeasible/rejected: fall through to the full candidate batch,
-        // which throws NoScheduleError with the budget in the message.
-    }
-
-    const core::Resources keep = resources_;
-    resources_ = target;
-    try {
-        return recompute();
-    } catch (...) {
-        resources_ = keep;
-        throw;
-    }
 }
 
 } // namespace amp::rt

@@ -7,10 +7,11 @@
 // from the profile the schedule was built on, the Rescheduler re-runs the
 // paper's schedulers (HeRAD primary, FERTAC/OTAC fallbacks) on the reduced
 // resource vector or refreshed chain, and hands back the best valid
-// solution. `run_with_recovery` glues it to the Pipeline: it hot-swaps the
-// schedule after a degraded run and resumes the stream at the exact frame
-// the failed pipeline drained to, reporting recovery latency and total
-// frames dropped. See docs/FAULT_MODEL.md for the full fault model.
+// solution. `run_with_recovery` glues it to the Pipeline: it frame-swaps a
+// resize-only loss in flight, rebuilds the pipeline after any other
+// (drained) loss and resumes the stream at the exact frame the failed
+// pipeline drained to, reporting recovery latency and total frames
+// dropped. See docs/FAULT_MODEL.md for the full fault model.
 
 #include "core/scheduler.hpp"
 #include "obs/histogram.hpp"
@@ -52,25 +53,15 @@ struct ReschedulePolicy {
     svc::SolverService* service = nullptr;
 };
 
-/// One observation window of runtime telemetry -- the single input both
-/// control loops consume: Rescheduler::observe runs drift detection over
-/// the per-task latency histograms, rt::Autoscaler feeds the load fields
-/// (queue depth / p95) to its scaling controller. Producers fill what they
-/// sampled and leave the rest at the "not sampled" defaults.
+/// One observation window of per-task latency telemetry, the input of
+/// Rescheduler::observe's drift detection.
 struct TelemetrySnapshot {
     /// Per-task latency histograms, 1-based task order, one per core type.
-    /// Leave both vectors empty to skip drift detection entirely (a
-    /// load-only snapshot); leave an element empty when the task did not
-    /// run on that core type this window.
+    /// Leave both vectors empty to skip drift detection entirely; leave an
+    /// element empty when the task did not run on that core type this
+    /// window.
     std::vector<obs::HistogramSnapshot> big_us;
     std::vector<obs::HistogramSnapshot> little_us;
-    /// Worst inter-stage queue depth as a fraction of queue capacity (the
-    /// pipeline monitor hook's signal); negative = not sampled.
-    double queue_depth_frac = -1.0;
-    /// End-to-end p95 latency in microseconds; <= 0 = not sampled.
-    double p95_us = 0.0;
-    /// Steady-clock timestamp of the window end in nanoseconds (0 = now).
-    std::int64_t at_ns = 0;
 };
 
 class Rescheduler {
@@ -107,19 +98,8 @@ public:
     /// policy.drift_threshold (relative). After policy.drift_patience
     /// consecutive drifted windows, the chain is rebuilt around the
     /// observed mean latencies and the schedule recomputed; returns the new
-    /// solution then, nullopt otherwise. The load fields (queue depth, p95)
-    /// are not consumed here -- rt::Autoscaler::observe reads the same
-    /// snapshot, so one telemetry producer feeds both control loops.
+    /// solution then, nullopt otherwise.
     std::optional<core::Solution> observe(const TelemetrySnapshot& telemetry);
-
-    /// Re-solves for a changed resource vector -- the autoscaler's
-    /// grow/shrink step -- and adopts chain/resources/solution on success.
-    /// A HeRAD primary re-solves incrementally from the DP frontier
-    /// retained across calls (core::WarmStart), so ±k-core steps cost a
-    /// small fraction of a cold solve; other strategies recompute the full
-    /// candidate batch. Throws NoScheduleError when the target admits no
-    /// schedule (the previous state is kept).
-    core::Solution resize_to(core::Resources target);
 
     /// Consecutive drifted reports seen so far (for tests/metrics).
     [[nodiscard]] int drift_streak() const noexcept { return drift_streak_; }
@@ -129,10 +109,6 @@ private:
     core::Resources resources_;
     ReschedulePolicy policy_;
     core::Solution solution_;
-    /// Warm-start frontier retained across resize_to calls (HeRAD primary
-    /// only; invalidated implicitly when the chain is rebuilt -- a stale
-    /// frontier no longer matches and the solver runs cold, refreshing it).
-    std::shared_ptr<const core::HeradFrontier> frontier_;
     int drift_streak_ = 0;
     /// Running *sums* of the per-window observed means across the current
     /// drift streak (averaged at rebuild time; cleared when the streak
@@ -150,34 +126,29 @@ struct RecoveryReport {
     double recovery_latency_seconds = 0.0; ///< failure detection -> first resumed frame
     std::vector<core::Solution> solutions; ///< initial + one per recovery
     bool completed = false; ///< stream reached num_frames
-    /// Recoveries retargeted between segments (SwapOutcome::drained).
-    int delta_swaps = 0;
-    int rebuild_swaps = 0;  ///< recoveries that rebuilt the pipeline
     /// Recoveries retargeted mid-segment (SwapOutcome::frame, no drain: the
     /// stream never stopped).
     int frame_swaps = 0;
+    /// Recoveries that drained and rebuilt the pipeline; every recovery is
+    /// one or the other: frame_swaps + rebuild_swaps == recoveries.
+    int rebuild_swaps = 0;
     double swap_seconds = 0.0; ///< time spent retargeting / rebuilding
 };
 
-/// Knobs for run_with_recovery's hot-swap path.
-struct RecoveryOptions {
-    /// How recoveries may land on the running pipeline (Pipeline::retarget).
-    SwapPolicy swap = SwapPolicy::frame_first;
-};
-
-/// Runs the stream [config.first_frame, num_frames) with automatic recovery:
-/// on a degraded run, reduces the resource vector by the lost cores,
-/// recomputes the schedule, retargets the pipeline -- in place when the new
-/// stage cut is compatible, by a full rebuild otherwise -- and resumes the
-/// stream at the exact frame the degraded run drained to. Stops after
-/// `max_recoveries` hot-swaps (default: one per core of the initial
+/// Runs the stream [config.first_frame, num_frames) with automatic recovery.
+/// On every fence an in-flight loss handler shrinks the resource vector,
+/// re-solves and retargets the running pipeline; a resize-only change lands
+/// as a frame swap and the stream never stops. Any other loss drains the
+/// run; the pipeline is then rebuilt on the recomputed schedule and the
+/// stream resumes at the exact frame the degraded run drained to. Stops
+/// after `max_recoveries` hot-swaps (default: one per core of the initial
 /// budget). Throws NoScheduleError if the degraded resources cannot run the
 /// chain at all.
 template <typename T>
 RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& rescheduler,
                                  std::uint64_t num_frames, PipelineConfig config = {},
                                  const std::function<void(T&)>& on_output = {},
-                                 int max_recoveries = -1, RecoveryOptions options = {})
+                                 int max_recoveries = -1)
 {
     if (max_recoveries < 0)
         max_recoveries = rescheduler.resources().total();
@@ -217,8 +188,6 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& resched
     // `max_recoveries` are safe to read -- the main thread only writes them
     // between runs.
     auto install_handler = [&](Pipeline<T>& p) {
-        if (options.swap != SwapPolicy::frame_first)
-            return;
         p.set_loss_handler([&](const WorkerLoss& loss) -> bool {
             std::lock_guard lock{swap_state.mutex};
             if (swap_state.infeasible)
@@ -353,19 +322,17 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& resched
             : std::chrono::steady_clock::now();
         next = result.stream_end;
 
+        // The loss handler already declined this change in flight: rebuild.
         const auto swap_begin = std::chrono::steady_clock::now();
-        plan::ExecutionPlan candidate =
+        pipeline.reset(); // join the old workers before spawning new ones
+        config.first_frame = next;
+        pipeline = std::make_unique<Pipeline<T>>(
+            sequence,
             plan::ExecutionPlan::compile(rescheduler.chain(), rescheduler.solution(),
-                                         plan::PlanOptions{config.queue_capacity});
-        if (pipeline->retarget(candidate, options.swap) != plan::SwapOutcome::rebuild_required) {
-            ++report.delta_swaps;
-        } else {
-            pipeline.reset(); // join the old workers before spawning new ones
-            config.first_frame = next;
-            pipeline = std::make_unique<Pipeline<T>>(sequence, std::move(candidate), config);
-            install_handler(*pipeline);
-            ++report.rebuild_swaps;
-        }
+                                         plan::PlanOptions{config.queue_capacity}),
+            config);
+        install_handler(*pipeline);
+        ++report.rebuild_swaps;
         report.swap_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() - swap_begin)
                 .count();

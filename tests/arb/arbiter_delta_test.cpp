@@ -35,17 +35,17 @@ public:
     }
 
     /// Diffs `next` against the plan it runs, as rt::Pipeline::retarget
-    /// does; every compatible change lands (resize-only ones as frames).
+    /// does; a resize-only change lands as a frame swap.
     [[nodiscard]] plan::SwapOutcome apply(const plan::ExecutionPlan& next) override
     {
         const plan::PlanDelta delta = plan::diff(plan_, next);
         deltas.push_back(delta);
         if (delta.empty())
             return plan::SwapOutcome::none;
-        if (!delta.compatible)
+        if (!delta.resize_only())
             return plan::SwapOutcome::rebuild_required;
         plan_ = next;
-        return delta.resize_only() ? plan::SwapOutcome::frame : plan::SwapOutcome::drained;
+        return plan::SwapOutcome::frame;
     }
 
     std::vector<plan::PlanDelta> deltas;

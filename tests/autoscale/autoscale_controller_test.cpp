@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
 #include <vector>
 
 namespace {
@@ -203,6 +205,54 @@ TEST(AutoscaleSim, StepLoadGrowsThenShrinksWithoutFlapping)
     EXPECT_GT(result.warm_fraction, 0.9);
     for (const auto& event : result.events)
         EXPECT_EQ(event.after.total() >= 1, true);
+}
+
+// The exact action sequence of the step replay: a change to the shared
+// resize step (targets, candidate order, clamps, warm accounting) shows
+// here even when every property above still holds.
+TEST(AutoscaleSim, StepReplayMatchesThePinnedTrace)
+{
+    struct Action {
+        std::int64_t at_us;
+        ScaleDecision decision;
+        Resources before;
+        Resources after;
+        bool warm;
+    };
+    const Action kPinned[] = {
+        {15'000, ScaleDecision::shrink, {1, 2}, {0, 2}, true},
+        {310'000, ScaleDecision::grow, {0, 2}, {0, 3}, true},
+        {360'000, ScaleDecision::grow, {0, 3}, {0, 4}, true},
+        {410'000, ScaleDecision::grow, {0, 4}, {1, 4}, true},
+        {460'000, ScaleDecision::grow, {1, 4}, {2, 4}, true},
+        {510'000, ScaleDecision::grow, {2, 4}, {3, 4}, true},
+        {560'000, ScaleDecision::grow, {3, 4}, {4, 4}, true},
+        {610'000, ScaleDecision::grow, {4, 4}, {4, 4}, false}, // clamped at max_pool
+        {660'000, ScaleDecision::grow, {4, 4}, {4, 4}, false},
+        {710'000, ScaleDecision::shrink, {4, 4}, {3, 4}, true},
+        {760'000, ScaleDecision::shrink, {3, 4}, {2, 4}, true},
+        {810'000, ScaleDecision::shrink, {2, 4}, {1, 4}, true},
+        {860'000, ScaleDecision::shrink, {1, 4}, {0, 4}, true},
+        {910'000, ScaleDecision::shrink, {0, 4}, {0, 3}, true},
+        {960'000, ScaleDecision::shrink, {0, 3}, {0, 2}, true},
+    };
+    const dsim::AutoscaleSimResult result = dsim::simulate_autoscale(step_scenario());
+    ASSERT_EQ(result.events.size(), std::size(kPinned));
+    for (std::size_t i = 0; i < result.events.size(); ++i) {
+        const dsim::AutoscaleEventRecord& event = result.events[i];
+        SCOPED_TRACE("event " + std::to_string(i));
+        EXPECT_EQ(event.at_us, kPinned[i].at_us);
+        EXPECT_EQ(event.decision, kPinned[i].decision);
+        EXPECT_EQ(event.before, kPinned[i].before);
+        EXPECT_EQ(event.after, kPinned[i].after);
+        EXPECT_EQ(event.warm, kPinned[i].warm);
+    }
+    EXPECT_EQ(result.grows, 6u);
+    EXPECT_EQ(result.shrinks, 7u);
+    EXPECT_EQ(result.clamped, 2u);
+    EXPECT_EQ(result.infeasible, 0u);
+    EXPECT_DOUBLE_EQ(result.warm_fraction, 13.0 / 14.0) << "all but the initial cold solve";
+    EXPECT_EQ(result.final_pool, (Resources{0, 2}));
 }
 
 TEST(AutoscaleSim, CheapestFirstShrinkFreesBigCores)

@@ -139,7 +139,7 @@ TEST(Autoscaler, FeedLandsGrowAndShrinkAsInFlightFrameSwaps)
     EXPECT_EQ(resizes[1], (Resources{0, 3}));
 }
 
-TEST(Autoscaler, ClampsAndStricterSwapPoliciesHoldThePool)
+TEST(Autoscaler, ClampsAndDeclinedSwapsHoldThePool)
 {
     const TaskChain chain = resize_only_chain();
     auto seq = make_sequence(5);
@@ -158,25 +158,30 @@ TEST(Autoscaler, ClampsAndStricterSwapPoliciesHoldThePool)
     EXPECT_EQ(autoscaler.current(), (Resources{0, 4}));
     EXPECT_EQ(autoscaler.stats().clamped, 1u);
 
-    // rebuild_only never mutates a built pipeline: the shrink is declined
-    // (counted, no mutation) and the pool held.
-    rt::AutoscalerConfig strict = config;
-    strict.swap = rt::SwapPolicy::rebuild_only;
-    rt::Autoscaler<Frame> declined{pipeline, chain, {0, 4}, strict};
+    // A pipeline cut unlike any re-solve: the shrink's retarget is a recut,
+    // so the pipeline declines it (counted, no mutation) and the pool holds.
+    auto recut_seq = make_sequence(5);
+    rt::Pipeline<Frame> recut{
+        recut_seq,
+        plan::ExecutionPlan::compile(chain, core::Solution{std::vector<Stage>{
+                                                {1, 2, 1, CoreType::little},
+                                                {3, 5, 3, CoreType::little}}}),
+        rt::PipelineConfig{}};
+    const auto recut_plan = recut.execution_plan();
+    rt::Autoscaler<Frame> declined{recut, chain, {0, 4}, config};
     EXPECT_EQ(declined.feed(0.1, 1), rt::ScaleDecision::hold);
     EXPECT_EQ(declined.feed(0.1, 2), rt::ScaleDecision::hold);
     EXPECT_EQ(declined.current(), (Resources{0, 4}));
     EXPECT_EQ(declined.stats().declined, 1u);
+    EXPECT_EQ(recut.execution_plan(), recut_plan);
 
-    // delta declines only live swaps (tests/plan/retarget_test.cpp pins
-    // that row): on this parked pipeline the shrink lands between segments.
-    rt::AutoscalerConfig between = config;
-    between.swap = rt::SwapPolicy::delta;
-    rt::Autoscaler<Frame> drained{pipeline, chain, {0, 4}, between};
-    EXPECT_EQ(drained.feed(0.1, 1), rt::ScaleDecision::hold);
-    EXPECT_EQ(drained.feed(0.1, 2), rt::ScaleDecision::shrink);
-    EXPECT_EQ(drained.current(), (Resources{0, 3}));
-    EXPECT_EQ(drained.stats().frame_swaps, 0u) << "parked: a drained swap, not a frame swap";
+    // On the parked pipeline the resize-only shrink lands in place before
+    // the next segment: a frame swap.
+    rt::Autoscaler<Frame> parked{pipeline, chain, {0, 4}, config};
+    EXPECT_EQ(parked.feed(0.1, 1), rt::ScaleDecision::hold);
+    EXPECT_EQ(parked.feed(0.1, 2), rt::ScaleDecision::shrink);
+    EXPECT_EQ(parked.current(), (Resources{0, 3}));
+    EXPECT_EQ(parked.stats().frame_swaps, 1u);
     EXPECT_EQ(pipeline.execution_plan()->worker_count(), 3);
 }
 
@@ -188,8 +193,12 @@ TEST(Autoscaler, MonitorHookSamplesUtilizationFromTheWatchdog)
     svc::SolverService service{svc::ServiceConfig{}};
 
     rt::PipelineConfig pipeline_config;
-    pipeline_config.overload.enabled = true;
+    pipeline_config.overload.enabled = true; // runs the monitor hook
     pipeline_config.overload.poll = milliseconds{2};
+    // The monitor feeds the brownout controller at most 1.0, so it never
+    // enters brownout and never sheds: every frame is delivered however
+    // loaded the machine is.
+    pipeline_config.overload.brownout.enter_pressure = 2.0;
     rt::Pipeline<Frame> pipeline{seq, *plan_for(service, chain, {0, 3}).plan, pipeline_config};
 
     rt::AutoscalerConfig config;

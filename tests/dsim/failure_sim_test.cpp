@@ -153,8 +153,8 @@ TEST(FailureSim, ReportsUnschedulableWhenNoCoreRemains)
 
 // The virtual-time mirror of the runtime's frame-granular swap: when the
 // recovery delta is resize-only and FailureModel::frame_swap_us is set,
-// downtime collapses to detection + frame swap instead of the drain-based
-// delta-swap cost.
+// downtime collapses to detection + frame swap instead of the drain and
+// rebuild cost.
 TEST(FailureSim, FrameSwapModelShortensDowntimeForResizeOnlyDeltas)
 {
     // All-little chain: t1 stateful, the rest replicable with lopsided
@@ -175,14 +175,13 @@ TEST(FailureSim, FrameSwapModelShortensDowntimeForResizeOnlyDeltas)
     const auto config = small_config();
     dsim::FailureModel faults;
     faults.detection_us = 200.0;
-    faults.delta_swap_us = 1000.0;
+    faults.reschedule_us = 1000.0;
     faults.failures.push_back(dsim::SimFailure{500, 1}); // a little from stage 1
 
-    // Drain-based delta swap: detection + delta swap.
+    // Frame swap not modelled: detection + drain and rebuild.
     const auto drained = dsim::simulate_with_failures(chain, solution, budget, config, faults);
     ASSERT_TRUE(drained.schedulable);
     ASSERT_EQ(drained.recoveries.size(), 1u);
-    EXPECT_TRUE(drained.recoveries[0].delta_applied);
     EXPECT_FALSE(drained.recoveries[0].frame_swap_applied);
     EXPECT_DOUBLE_EQ(drained.recoveries[0].downtime_us, 200.0 + 1000.0);
 
@@ -198,9 +197,9 @@ TEST(FailureSim, FrameSwapModelShortensDowntimeForResizeOnlyDeltas)
 
 TEST(FailureSim, FrameSwapModelIgnoresNonResizeOnlyDeltas)
 {
-    // Mixed-type sibling: on R = (1, 3) losing the big rebinds stage 0
-    // big -> little -- delta-compatible, but NOT resize-only, so the
-    // frame-swap cost must not apply even when modelled.
+    // Mixed-type sibling: on R = (1, 3) losing the big keeps the cut but
+    // rebinds stage 0 big -> little -- NOT resize-only, so the frame-swap
+    // cost must not apply even when modelled.
     std::vector<core::TaskDesc> tasks;
     tasks.push_back(core::TaskDesc{"t1", 100.0, 120.0, false});
     const double littles[] = {75.0, 75.0, 75.0, 76.0};
@@ -215,14 +214,13 @@ TEST(FailureSim, FrameSwapModelIgnoresNonResizeOnlyDeltas)
     const auto config = small_config();
     dsim::FailureModel faults;
     faults.detection_us = 200.0;
-    faults.delta_swap_us = 1000.0;
+    faults.reschedule_us = 1000.0;
     faults.frame_swap_us = 100.0;
     faults.failures.push_back(dsim::SimFailure{500, 0}); // the big from stage 0
 
     const auto result = dsim::simulate_with_failures(chain, solution, budget, config, faults);
     ASSERT_TRUE(result.schedulable);
     ASSERT_EQ(result.recoveries.size(), 1u);
-    EXPECT_TRUE(result.recoveries[0].delta_applied) << "same cut: still delta-compatible";
     EXPECT_FALSE(result.recoveries[0].frame_swap_applied) << "rebound: not resize-only";
     EXPECT_DOUBLE_EQ(result.recoveries[0].downtime_us, 200.0 + 1000.0);
 }

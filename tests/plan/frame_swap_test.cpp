@@ -194,7 +194,7 @@ TEST(PipelineFrameSwap, SurvivesRepeatedMidSegmentResizes)
             replicas = replicas == 2 ? 3 : 2;
             const plan::SwapOutcome outcome =
                 pipeline.retarget(compile_two_stage(chain, CoreType::little, replicas));
-            if (outcome == plan::SwapOutcome::frame || outcome == plan::SwapOutcome::drained)
+            if (outcome == plan::SwapOutcome::frame)
                 ++applied;
             std::this_thread::sleep_for(milliseconds{2});
         }
@@ -212,9 +212,8 @@ TEST(PipelineFrameSwap, SurvivesRepeatedMidSegmentResizes)
     EXPECT_GT(applied, 0) << "the stress run must actually exercise the swap path";
 }
 
-/// Kill stage 0's only worker mid-stream and recover with the given options.
+/// Kill stage 0's only worker mid-stream and recover.
 rt::RecoveryReport run_kill(const TaskChain& chain, Resources budget,
-                            rt::RecoveryOptions options,
                             std::vector<std::uint64_t>* delivered = nullptr)
 {
     constexpr std::uint64_t kFrames = 100;
@@ -233,11 +232,11 @@ rt::RecoveryReport run_kill(const TaskChain& chain, Resources budget,
         [&](Frame& f) {
             if (delivered)
                 delivered->push_back(f.seq);
-        },
-        -1, options);
+        });
 
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(report.recoveries, 1);
+    EXPECT_EQ(report.frame_swaps + report.rebuild_swaps, report.recoveries);
     EXPECT_EQ(report.total.frames + report.total.frames_dropped, kFrames);
     EXPECT_EQ(report.total.stream_end, kFrames);
     EXPECT_GT(report.recovery_latency_seconds, 0.0);
@@ -248,9 +247,8 @@ TEST(RunWithRecoveryFrameSwap, ResizeOnlyKillSwapsWithoutDraining)
 {
     std::vector<std::uint64_t> delivered;
     const rt::RecoveryReport report =
-        run_kill(resize_only_chain(), Resources{0, 4}, rt::RecoveryOptions{}, &delivered);
+        run_kill(resize_only_chain(), Resources{0, 4}, &delivered);
     EXPECT_EQ(report.frame_swaps, 1) << "a resize-only loss must take the in-flight path";
-    EXPECT_EQ(report.delta_swaps, 0);
     EXPECT_EQ(report.rebuild_swaps, 0);
     ASSERT_EQ(report.solutions.size(), 2u);
     for (std::size_t i = 1; i < delivered.size(); ++i)
@@ -259,27 +257,16 @@ TEST(RunWithRecoveryFrameSwap, ResizeOnlyKillSwapsWithoutDraining)
 
 TEST(RunWithRecoveryFrameSwap, ReboundLossFallsBackToTheDrainPath)
 {
-    // The PR-4 scenario: the degraded optimum rebinds stage 0 big -> little,
-    // so the in-flight handler declines and the drain-based delta swap runs
-    // -- with the solution already computed by the handler (no second batch).
+    // The degraded optimum keeps the cut but rebinds stage 0 big -> little,
+    // so the in-flight handler declines, the run drains and the pipeline is
+    // rebuilt -- from the solution the handler already computed (no second
+    // batch).
     std::vector<std::uint64_t> delivered;
-    const rt::RecoveryReport report =
-        run_kill(rebind_chain(), Resources{1, 3}, rt::RecoveryOptions{}, &delivered);
+    const rt::RecoveryReport report = run_kill(rebind_chain(), Resources{1, 3}, &delivered);
     EXPECT_EQ(report.frame_swaps, 0) << "a rebound delta never frame-swaps";
-    EXPECT_EQ(report.delta_swaps, 1);
-    EXPECT_EQ(report.rebuild_swaps, 0);
+    EXPECT_EQ(report.rebuild_swaps, 1);
     for (std::size_t i = 1; i < delivered.size(); ++i)
         EXPECT_LT(delivered[i - 1], delivered[i]);
-}
-
-TEST(RunWithRecoveryFrameSwap, DisablingFrameSwapForcesTheDrainPath)
-{
-    rt::RecoveryOptions options;
-    options.swap = rt::SwapPolicy::delta;
-    const rt::RecoveryReport report =
-        run_kill(resize_only_chain(), Resources{0, 4}, options);
-    EXPECT_EQ(report.frame_swaps, 0);
-    EXPECT_EQ(report.delta_swaps, 1) << "the resize-only delta is still drain-compatible";
 }
 
 } // namespace

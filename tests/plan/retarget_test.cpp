@@ -1,5 +1,5 @@
 // Pipeline::retarget: the outcome table over {parked, live} x {identical,
-// resize-only grow, resize-only shrink, rebind, recut} x SwapPolicy (every
+// resize-only grow, resize-only shrink, rebind, recut} (every
 // rebuild_required leaves the pipeline untouched); an identical plan still
 // refills a fenced worker's slot; a retarget from the monitor hook while
 // run_from tears a segment down stays on the live path; a worker spawned in
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -39,7 +38,6 @@ using core::Stage;
 using core::TaskChain;
 using core::TaskDesc;
 using plan::SwapOutcome;
-using rt::SwapPolicy;
 using std::chrono::microseconds;
 
 struct Frame {
@@ -110,76 +108,60 @@ void expect_segment(rt::Pipeline<Frame>& pipeline, std::uint64_t first, std::uin
 
 TEST(PipelineRetarget, OutcomeTable)
 {
-    constexpr std::array kPolicies{SwapPolicy::rebuild_only, SwapPolicy::delta,
-                                   SwapPolicy::frame_first};
-    constexpr SwapOutcome kNone = SwapOutcome::none;
-    constexpr SwapOutcome kFrame = SwapOutcome::frame;
-    constexpr SwapOutcome kDrained = SwapOutcome::drained;
-    constexpr SwapOutcome kRebuild = SwapOutcome::rebuild_required;
     struct Row {
         const char* change;
         int cut;             ///< target stage-0 interval end (1 = base cut)
         CoreType first_type; ///< target stage-0 core type
         int replicas;        ///< target stage-1 replicas
-        std::array<SwapOutcome, 3> parked; ///< per kPolicies
-        std::array<SwapOutcome, 3> live;
+        SwapOutcome expected; ///< parked and live alike
     };
     // Base plan: [1,1]x1B | [2,5]x2L.
     const Row kTable[] = {
-        {"identical", 1, CoreType::big, 2,
-         {kNone, kNone, kNone}, {kNone, kNone, kNone}},
-        {"grow", 1, CoreType::big, 3,
-         {kRebuild, kDrained, kDrained}, {kRebuild, kRebuild, kFrame}},
-        {"shrink", 1, CoreType::big, 1,
-         {kRebuild, kDrained, kDrained}, {kRebuild, kRebuild, kFrame}},
-        {"rebind", 1, CoreType::little, 2,
-         {kRebuild, kDrained, kDrained}, {kRebuild, kRebuild, kRebuild}},
-        {"recut", 2, CoreType::big, 2,
-         {kRebuild, kRebuild, kRebuild}, {kRebuild, kRebuild, kRebuild}},
+        {"identical", 1, CoreType::big, 2, SwapOutcome::none},
+        {"grow", 1, CoreType::big, 3, SwapOutcome::frame},
+        {"shrink", 1, CoreType::big, 1, SwapOutcome::frame},
+        {"rebind", 1, CoreType::little, 2, SwapOutcome::rebuild_required},
+        {"recut", 2, CoreType::big, 2, SwapOutcome::rebuild_required},
     };
 
     const TaskChain chain = five_task_chain(100.0, 75.0);
     for (const Row& row : kTable) {
         const plan::ExecutionPlan target = two_stage(chain, row.cut, row.first_type, row.replicas);
-        for (std::size_t p = 0; p < kPolicies.size(); ++p) {
-            for (const bool live : {false, true}) {
-                SCOPED_TRACE(std::string{row.change} + " / " + to_string(kPolicies[p]) + " / "
-                             + (live ? "live" : "parked"));
-                const SwapOutcome expected = live ? row.live[p] : row.parked[p];
-                auto seq = make_sequence();
-                rt::Pipeline<Frame> pipeline{seq, two_stage(chain, 1, CoreType::big, 2),
-                                             rt::PipelineConfig{}};
-                expect_segment(pipeline, 0, 10); // materialized, then parked
-                const Census before = census(pipeline);
+        for (const bool live : {false, true}) {
+            SCOPED_TRACE(std::string{row.change} + " / " + (live ? "live" : "parked"));
+            auto seq = make_sequence();
+            rt::Pipeline<Frame> pipeline{seq, two_stage(chain, 1, CoreType::big, 2),
+                                         rt::PipelineConfig{}};
+            expect_segment(pipeline, 0, 10); // materialized, then parked
+            const Census before = census(pipeline);
 
-                std::optional<SwapOutcome> outcome;
-                Census after;
-                const auto retarget = [&] {
-                    outcome = pipeline.retarget(target, kPolicies[p]);
-                    after = census(pipeline);
-                };
-                if (live) // from the output thread: run_from is in flight by construction
-                    expect_segment(pipeline, 10, 60, [&](Frame& f) {
-                        if (f.seq == 10)
-                            retarget();
-                    });
-                else
-                    retarget();
+            std::optional<SwapOutcome> outcome;
+            Census after;
+            const auto retarget = [&] {
+                outcome = pipeline.retarget(target);
+                after = census(pipeline);
+            };
+            if (live) // from the output thread: run_from is in flight by construction
+                expect_segment(pipeline, 10, 60, [&](Frame& f) {
+                    if (f.seq == 10)
+                        retarget();
+                });
+            else
+                retarget();
 
-                ASSERT_TRUE(outcome.has_value());
-                EXPECT_EQ(*outcome, expected)
-                    << to_string(*outcome) << " vs " << to_string(expected);
-                if (expected == kRebuild || expected == kNone) {
-                    EXPECT_EQ(after.plan.get(), before.plan.get()) << "same plan snapshot";
-                    EXPECT_EQ(after.live, before.live);
-                    EXPECT_EQ(after.spawned, before.spawned);
-                } else {
-                    EXPECT_TRUE(plan::same_topology(*after.plan, target));
-                    EXPECT_EQ(after.live, target.worker_count());
-                }
-                // Whatever the outcome, the pipeline keeps streaming.
-                expect_segment(pipeline, 60, 80);
+            ASSERT_TRUE(outcome.has_value());
+            EXPECT_EQ(*outcome, row.expected)
+                << to_string(*outcome) << " vs " << to_string(row.expected);
+            if (row.expected == SwapOutcome::frame) {
+                EXPECT_TRUE(plan::same_topology(*after.plan, target));
+                EXPECT_EQ(after.live, target.worker_count());
+            } else {
+                EXPECT_EQ(after.plan.get(), before.plan.get()) << "same plan snapshot";
+                EXPECT_EQ(after.live, before.live);
+                EXPECT_EQ(after.spawned, before.spawned);
             }
+            // Whatever the outcome, the pipeline keeps streaming.
+            expect_segment(pipeline, 60, 80);
         }
     }
 }
@@ -203,7 +185,7 @@ TEST(PipelineRetarget, IdenticalPlanRefillsAFencedSlot)
     EXPECT_EQ(degraded.stream_end, 200u) << "the surviving replica carries the stage";
     EXPECT_EQ(pipeline.live_workers(), 2);
 
-    EXPECT_EQ(pipeline.retarget(*pipeline.execution_plan()), SwapOutcome::drained);
+    EXPECT_EQ(pipeline.retarget(*pipeline.execution_plan()), SwapOutcome::frame);
     EXPECT_EQ(pipeline.live_workers(), 3);
     EXPECT_EQ(pipeline.retarget(*pipeline.execution_plan()), SwapOutcome::none);
     expect_segment(pipeline, 200, 260);

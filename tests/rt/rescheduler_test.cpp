@@ -414,11 +414,10 @@ TEST(RunWithRecovery, MultiCoreLossSolvesExactlyOneBatch)
     config.faults = &injector;
     config.heartbeat_timeout = milliseconds{50};
 
-    RecoveryOptions options;
-    options.swap = SwapPolicy::delta; // pin the post-run (drain-path) accounting
-
+    // A swap budget of zero makes the in-flight loss handler decline every
+    // loss untouched, which pins the post-run accounting.
     const RecoveryReport report =
-        run_with_recovery<Frame>(seq, rescheduler, kFrames, config, {}, -1, options);
+        run_with_recovery<Frame>(seq, rescheduler, kFrames, config, {}, /*max_recoveries=*/0);
 
     EXPECT_TRUE(report.completed);
     ASSERT_EQ(report.total.losses.size(), 2u);
