@@ -118,7 +118,7 @@ int main(int argc, char** argv)
     // resize requests the autoscaler actually issues.
     const std::pair<int, int> deltas[] = {{-2, 0}, {-1, 0}, {1, 0}, {2, 0},
                                           {0, -2}, {0, -1}, {0, 1}, {0, 2}};
-    for (const auto [db, dl] : deltas) {
+    for (const auto& [db, dl] : deltas) {
         {
             const core::Resources target{base.big + db, base.little + dl};
             std::vector<double> cold_ns, warm_ns;

@@ -20,10 +20,10 @@
 //      enabled runs a bursty-stall drain (periodic output hiccups force
 //      queue congestion) while a junk tenant saturates the shared solver
 //      service's admission queue AND a kill fault takes out a worker
-//      mid-stream. The run must recover from the core loss (the
-//      recovery re-solve's priority displaces junk traffic), shed
-//      frames under congestion without ever dropping one silently, and
-//      account for every stream position.
+//      mid-stream. The loss's re-solve is a single solve, which never
+//      enters the admission queue; the run goes on with the surviving
+//      workers, must shed frames under congestion without ever dropping
+//      one silently, and must account for every stream position.
 //
 // Flags: --arrivals=N batches in scenario 1 (default 120), --batch=N
 // requests per batch (default 4), --threads=N submitters (default 8),
@@ -405,7 +405,10 @@ struct Frame {
 void run_pipeline_soak(bench::JsonReport& report, std::uint64_t frames, int task_us)
 {
     // Same chain shape as the recovery tests: a stateful source plus four
-    // replicable tasks whose degraded optimum keeps the healthy cut.
+    // replicable tasks. The optimum (1,1B),(4,3L) loses a little worker;
+    // the optimum at R = (1, 2) is the recut (1,1L),(2,1L),(2,1B), which
+    // the loss handler declines, so the stream ends on the two surviving
+    // littles: 1 loss, 0 recoveries.
     constexpr int kTasks = 5;
     std::vector<core::TaskDesc> descs;
     descs.push_back(core::TaskDesc{"t1", 100.0, 120.0, false});
@@ -415,8 +418,8 @@ void run_pipeline_soak(bench::JsonReport& report, std::uint64_t frames, int task
     const core::TaskChain chain{std::move(descs)};
 
     // The shared solver service is itself protected and saturated by a
-    // junk tenant for the whole run: the recovery re-solve must displace
-    // junk traffic through the priority-aware admission queue.
+    // junk tenant for the whole run; the loss's re-solve is a single
+    // solve and never waits in its admission queue.
     svc::ServiceConfig service_config;
     service_config.admission = svc::AdmissionConfig{4, svc::ShedPolicy::priority_aware};
     svc::SolverService service{service_config};

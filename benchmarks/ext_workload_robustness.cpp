@@ -24,7 +24,7 @@ int main(int argc, char** argv)
 
     TextTable table({"distribution", "2CATAC %opt / avg / max", "FERTAC %opt / avg / max",
                      "OTAC(B) avg"});
-    for (const auto [distribution, label] :
+    for (const auto& [distribution, label] :
          {std::pair{sim::WeightDistribution::uniform, "uniform [1,100]"},
           std::pair{sim::WeightDistribution::bimodal, "bimodal (15% x10)"},
           std::pair{sim::WeightDistribution::lognormal, "lognormal"}}) {

@@ -211,8 +211,8 @@ struct ScheduleRequest {
     std::int64_t deadline_ns = 0;
 
     /// Admission priority: higher wins under the priority_aware shedding
-    /// policy. Recovery re-solves (rt::Rescheduler) submit at
-    /// svc::kRecoveryPriority so overload never sheds them first.
+    /// policy. Only svc::SolverService::solve_batch's admission queue reads
+    /// it; single solves (recovery and resize re-solves) never queue.
     std::int8_t priority = 0;
 
     /// Cache-identity namespace -- unlike the admission metadata above this

@@ -250,7 +250,7 @@ FailureSimulationResult simulate_with_failures(const core::TaskChain& chain,
                      [](const SimFailure& a, const SimFailure& b) { return a.frame < b.frame; });
 
     // The rescheduler mirrors the runtime's recovery decisions: same chain,
-    // same degraded resource vector, same strategy preferences.
+    // same degraded resource vector, same warm HeRAD re-solve.
     rt::Rescheduler rescheduler{chain, budget, faults.policy};
 
     FailureSimulationResult result;

@@ -112,7 +112,7 @@ struct SimulationResult {
 // Thread-free mirror of the runtime's fault model (docs/FAULT_MODEL.md):
 // at chosen stream positions a stage loses one core for good. The simulator
 // applies the same recovery decision the runtime would make -- it reduces
-// the resource vector, re-runs the schedulers through rt::Rescheduler, and
+// the resource vector, re-solves HeRAD through rt::Rescheduler, and
 // resumes the departure recurrence on the new stage structure after a
 // detection + reschedule latency -- so recovery behaviour is testable
 // deterministically, without threads or timing jitter.
@@ -377,8 +377,7 @@ struct AutoscaleScenario {
     core::Resources initial{};
     rt::AutoscalePolicy policy{};
     core::ScheduleOptions options{};
-    /// Rates for the per-event energy_per_item accounting (and, through
-    /// policy.shrink_cheapest_first, the shrink candidate ordering).
+    /// Rates for the per-event energy_per_item accounting.
     core::PowerModel power{};
     /// Offered-load profile, sorted by at_us; the first point's rate also
     /// holds before its timestamp. Must be non-empty.

@@ -1,6 +1,6 @@
 #include "rt/autoscaler.hpp"
 
-#include "svc/admission.hpp"
+#include "rt/rescheduler.hpp"
 
 #include <algorithm>
 
@@ -65,11 +65,7 @@ ResizeStep::Outcome ResizeStep::feed(double utilization, std::int64_t now_ns)
 
 svc::PlannedSchedule ResizeStep::solve(core::Resources target)
 {
-    core::ScheduleRequest request{chain_, target, core::Strategy::herad, options_};
-    request.priority = svc::kRecoveryPriority;
-    request.warm.frontier = frontier_;
-    request.warm.keep_frontier = true;
-    svc::PlannedSchedule planned = solve_(request);
+    svc::PlannedSchedule planned = solve_(warm_herad_request(chain_, target, options_, frontier_));
     if (planned.result.ok()) {
         if (planned.result.frontier != nullptr)
             frontier_ = planned.result.frontier;

@@ -24,7 +24,6 @@
 // warm vs cold re-solve latency and controller tracking.
 
 #include "core/chain.hpp"
-#include "core/power.hpp"
 #include "core/scheduler.hpp"
 #include "plan/execution_plan.hpp"
 #include "rt/pipeline.hpp"
@@ -82,15 +81,6 @@ struct AutoscalePolicy {
     core::Resources max_pool{0, 1};
     /// Which core type a grow tries first (a shrink frees it last).
     core::CoreType grow_first = core::CoreType::little;
-    /// Energy-aware scale-down (docs/ENERGY.md): order shrink candidates by
-    /// the power of the RESULTING allocation, ascending, so a shrink frees
-    /// the most expensive cores first (under the default model: big before
-    /// little, regardless of grow_first). Ties keep the legacy
-    /// reverse-of-grow order, so the flag is behavior-neutral under a
-    /// uniform power model.
-    bool shrink_cheapest_first = false;
-    /// Rates for the ordering above; unused unless shrink_cheapest_first.
-    core::PowerModel power{};
 };
 
 /// The pure controller. Single-threaded by design; Autoscaler<T> guards it
@@ -134,12 +124,9 @@ public:
     }
 
     /// The legal one-step shrink targets (one per core type with slack),
-    /// best first. Legacy order frees the reverse of grow_first; with
-    /// policy.shrink_cheapest_first the candidates are reordered by the
-    /// power of the resulting allocation, ascending (ties keep the legacy
-    /// order). ResizeStep::feed tries them in order until one lands, so an
-    /// infeasible cheapest target degrades to the next candidate instead of
-    /// absorbing the shrink.
+    /// freeing the reverse of grow_first first. ResizeStep::feed tries them
+    /// in order until one lands, so an infeasible first target degrades to
+    /// the next candidate instead of absorbing the shrink.
     struct ShrinkCandidates {
         std::array<core::Resources, 2> target{};
         int count = 0;
@@ -161,14 +148,6 @@ public:
                 next.count(type) -= take;
                 out.target[static_cast<std::size_t>(out.count++)] = next;
             }
-        }
-        if (policy.shrink_cheapest_first && out.count == 2) {
-            const auto allocation_watts = [&policy](core::Resources r) noexcept {
-                return static_cast<double>(r.big) * policy.power.big_watts
-                    + static_cast<double>(r.little) * policy.power.little_watts;
-            };
-            if (allocation_watts(out.target[1]) < allocation_watts(out.target[0]))
-                std::swap(out.target[0], out.target[1]);
         }
         return out;
     }
@@ -232,10 +211,10 @@ struct AutoscalerStats {
 /// succeeds, in virtual time). Each fed sample goes to the controller; a
 /// grow re-solves the stepped target, a shrink tries the ordered
 /// shrink_candidates() until one lands, so an infeasible or declined
-/// cheapest target degrades to the next one instead of absorbing the
-/// shrink. Every re-solve is a warm HeRAD request on the DP frontier
-/// retained across calls. Single-threaded: Autoscaler<T> guards it with
-/// its mutex.
+/// first target degrades to the next one instead of absorbing the
+/// shrink. Every re-solve is a warm HeRAD request (warm_herad_request) on
+/// the DP frontier retained across calls. Single-threaded: Autoscaler<T>
+/// guards it with its mutex.
 class ResizeStep {
 public:
     /// Answers one re-solve request. Autoscaler<T> asks

@@ -6,6 +6,16 @@
 
 namespace amp::rt {
 
+core::ScheduleRequest warm_herad_request(const core::TaskChain& chain, core::Resources resources,
+                                         const core::ScheduleOptions& options,
+                                         std::shared_ptr<const core::HeradFrontier> frontier)
+{
+    core::ScheduleRequest request{chain, resources, core::Strategy::herad, options};
+    request.warm.frontier = std::move(frontier);
+    request.warm.keep_frontier = true;
+    return request;
+}
+
 Rescheduler::Rescheduler(core::TaskChain chain, core::Resources resources,
                          ReschedulePolicy policy)
     : chain_(std::move(chain))
@@ -22,50 +32,20 @@ core::Solution Rescheduler::recompute()
     if (resources_.total() < 1)
         throw NoScheduleError{"Rescheduler: no cores left to schedule on"};
 
-    // Candidate strategies go through the solver service as one batch:
-    // they solve in parallel, and a re-solve of an already-seen degraded
-    // (chain, resources) pair is a cache hit. schedule() reports malformed
-    // requests (e.g. an OTAC variant with zero cores of its type) and
-    // infeasibility through ScheduleResult::error, so no pre-filtering or
-    // exception fencing is needed here.
-    const core::Strategy candidates[] = {policy_.primary, policy_.fallback,
-                                         core::Strategy::otac_big, core::Strategy::otac_little};
-    std::vector<core::ScheduleRequest> requests;
-    requests.reserve(std::size(candidates));
-    for (const core::Strategy strategy : candidates) {
-        bool duplicate = false;
-        for (const core::ScheduleRequest& existing : requests)
-            duplicate = duplicate || existing.strategy == strategy;
-        if (!duplicate) {
-            core::ScheduleRequest request{chain_, resources_, strategy};
-            // Recovery re-solves must not be shed behind bulk traffic: a
-            // saturated admission queue would turn a core loss into a dead
-            // pipeline (docs/FAULT_MODEL.md, "Overload model").
-            request.priority = svc::kRecoveryPriority;
-            requests.push_back(std::move(request));
-        }
-    }
-
+    // HeRAD is period-optimal (paper §V), so no other strategy can beat it;
+    // its frontier answers a lost core with a backwalk, bit-identical to a
+    // cold solve.
     svc::SolverService& service =
         policy_.service != nullptr ? *policy_.service : svc::shared_service();
-    const std::vector<core::ScheduleResult> results = service.solve_batch(requests);
-
-    core::Solution best;
-    double best_period = core::kInfiniteWeight;
-    for (const core::ScheduleResult& result : results) {
-        if (!result.ok())
-            continue;
-        const double period = result.solution.period(chain_);
-        if (period < best_period) {
-            best = result.solution;
-            best_period = period;
-        }
-    }
-    if (best.empty())
-        throw NoScheduleError{
-            "Rescheduler: no strategy produced a valid solution on R = ("
-            + std::to_string(resources_.big) + ", " + std::to_string(resources_.little) + ")"};
-    solution_ = best;
+    const core::ScheduleResult result =
+        service.solve(warm_herad_request(chain_, resources_, {}, frontier_));
+    if (!result.ok())
+        throw NoScheduleError{"Rescheduler: HeRAD found no schedule on R = ("
+                              + std::to_string(resources_.big) + ", "
+                              + std::to_string(resources_.little) + ")"};
+    if (result.frontier != nullptr)
+        frontier_ = result.frontier;
+    solution_ = result.solution;
     return solution_;
 }
 

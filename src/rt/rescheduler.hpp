@@ -4,12 +4,13 @@
 // The paper computes one schedule for a fixed resource vector R = (b, l).
 // When the runtime loses a core permanently (a fenced worker, see
 // rt/pipeline.hpp) or the profiler reports task weights that drifted away
-// from the profile the schedule was built on, the Rescheduler re-runs the
-// paper's schedulers (HeRAD primary, FERTAC/OTAC fallbacks) on the reduced
-// resource vector or refreshed chain, and hands back the best valid
-// solution. `run_with_recovery` glues it to the Pipeline: it frame-swaps a
-// resize-only loss in flight, rebuilds the pipeline after any other
-// (drained) loss and resumes the stream at the exact frame the failed
+// from the profile the schedule was built on, the Rescheduler re-solves
+// HeRAD -- the paper's period-optimal DP -- on the reduced resource vector
+// or refreshed chain. Each solve keeps HeRAD's DP frontier, so after the
+// cold solve in the constructor a core loss is a frontier backwalk.
+// `run_with_recovery` glues it to the Pipeline: it frame-swaps a
+// resize-only loss in flight, rebuilds the pipeline after a loss that
+// drained the run and resumes the stream at the exact frame the failed
 // pipeline drained to, reporting recovery latency and total frames
 // dropped. See docs/FAULT_MODEL.md for the full fault model.
 
@@ -30,26 +31,33 @@
 
 namespace amp::rt {
 
-/// Raised when recovery is impossible (no cores left, or no scheduler can
-/// produce a well-formed solution on the degraded resources).
+/// Raised when recovery is impossible (no cores left, or HeRAD finds no
+/// schedule on the degraded resources).
 class NoScheduleError : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
 };
 
+/// The warm HeRAD request every rt re-solve sends (Rescheduler and
+/// ResizeStep): it carries `frontier`, the one kept from the previous solve
+/// of `chain` (null on the first), and asks for a new one, so a changed
+/// budget is answered from the frontier (a shrink by a backwalk) instead of
+/// a cold DP.
+[[nodiscard]] core::ScheduleRequest
+warm_herad_request(const core::TaskChain& chain, core::Resources resources,
+                   const core::ScheduleOptions& options,
+                   std::shared_ptr<const core::HeradFrontier> frontier);
+
 struct ReschedulePolicy {
-    core::Strategy primary = core::Strategy::herad;
-    core::Strategy fallback = core::Strategy::fertac;
     /// Relative p95 drift vs. the scheduled weight (max over tasks) that
     /// counts a latency report as drifted.
     double drift_threshold = 0.25;
     /// Consecutive drifted reports before the chain is re-profiled and the
     /// schedule recomputed (debounces transient load spikes).
     int drift_patience = 3;
-    /// Solver service every recompute goes through (candidate strategies
-    /// are submitted as one batch, so repeated re-solves of the same
-    /// degraded (chain, resources) pair hit its cache). Null means the
-    /// process-wide svc::shared_service().
+    /// Solver service every recompute goes through (a repeated re-solve of
+    /// the same degraded (chain, resources) pair hits its cache). Null
+    /// means the process-wide svc::shared_service().
     svc::SolverService* service = nullptr;
 };
 
@@ -75,9 +83,9 @@ public:
     [[nodiscard]] const core::Solution& solution() const noexcept { return solution_; }
     [[nodiscard]] const ReschedulePolicy& policy() const noexcept { return policy_; }
 
-    /// Solves on the current chain and resources: tries the primary and
-    /// fallback strategies plus the applicable OTAC baselines and keeps the
-    /// best (minimum-period) well-formed solution within budget.
+    /// Solves HeRAD on the current chain and resources, warm from the
+    /// frontier of the previous solve, and adopts the result. Throws
+    /// NoScheduleError when HeRAD finds no schedule.
     core::Solution recompute();
 
     /// Removes `count` cores of `type` (e.g. after the watchdog fenced a
@@ -87,9 +95,9 @@ public:
 
     /// Shrinks the resource vector without recomputing. Lets a caller that
     /// observed several simultaneous losses account for all of them first
-    /// and then solve a single batch (run_with_recovery does exactly this),
-    /// instead of paying one solver batch -- and transiently adopting an
-    /// intermediate solution -- per lost core.
+    /// and then solve once (run_with_recovery does exactly this), instead
+    /// of paying one solve -- and transiently adopting an intermediate
+    /// solution -- per lost core.
     void remove_cores(core::CoreType type, int count = 1);
 
     /// Feeds one telemetry window: runs drift detection over the per-task
@@ -109,6 +117,10 @@ private:
     core::Resources resources_;
     ReschedulePolicy policy_;
     core::Solution solution_;
+    /// HeRAD frontier from the last solve that returned one (a cache hit
+    /// returns none). One that no longer matches chain_, after a drift
+    /// rebuild, only makes the next solve run cold.
+    std::shared_ptr<const core::HeradFrontier> frontier_;
     int drift_streak_ = 0;
     /// Running *sums* of the per-window observed means across the current
     /// drift streak (averaged at rebuild time; cleared when the streak
@@ -138,12 +150,13 @@ struct RecoveryReport {
 /// Runs the stream [config.first_frame, num_frames) with automatic recovery.
 /// On every fence an in-flight loss handler shrinks the resource vector,
 /// re-solves and retargets the running pipeline; a resize-only change lands
-/// as a frame swap and the stream never stops. Any other loss drains the
-/// run; the pipeline is then rebuilt on the recomputed schedule and the
-/// stream resumes at the exact frame the degraded run drained to. Stops
-/// after `max_recoveries` hot-swaps (default: one per core of the initial
-/// budget). Throws NoScheduleError if the degraded resources cannot run the
-/// chain at all.
+/// as a frame swap and the stream never stops. A declined loss that empties
+/// a stage drains the run; the pipeline is then rebuilt on the recomputed
+/// schedule and the stream resumes at the exact frame the degraded run
+/// drained to; any other declined loss runs on with the surviving workers.
+/// Stops after `max_recoveries` hot-swaps (default: one per core of the
+/// initial budget). Throws NoScheduleError if the degraded resources cannot
+/// run the chain at all.
 template <typename T>
 RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& rescheduler,
                                  std::uint64_t num_frames, PipelineConfig config = {},
@@ -183,7 +196,7 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& resched
 
     // On every fence: shrink the budget and re-solve immediately (so even a
     // declined swap leaves rescheduler.solution() ready for the drain path
-    // with no second batch), then retarget in flight -- a frame swap when
+    // with no second solve), then retarget in flight -- a frame swap when
     // the change is resize-only. Runs on the watchdog thread; `report` and
     // `max_recoveries` are safe to read -- the main thread only writes them
     // between runs.

@@ -50,11 +50,6 @@ struct AdmissionConfig {
     ShedPolicy policy = ShedPolicy::reject_newest;
 };
 
-/// Priority rt::Rescheduler stamps on recovery re-solves: recovery must not
-/// be shed behind bulk traffic (a saturated queue would otherwise turn a
-/// single core loss into a dead pipeline).
-inline constexpr std::int8_t kRecoveryPriority = 100;
-
 /// Shared admission state of one queued request. Exactly one of the two
 /// racing parties wins the single CAS: the worker that wants to run the job
 /// (claim) or the shedding policy that wants to drop it (shed).

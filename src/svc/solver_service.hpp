@@ -95,7 +95,7 @@ struct ServiceConfig {
 
     /// Bounded admission queue for batch jobs; max_pending == 0 (default)
     /// admits everything.
-    AdmissionConfig admission;
+    AdmissionConfig admission{};
     /// Circuit breaker over solver invocations (cache hits bypass it);
     /// disabled by default.
     BreakerConfig breaker{.failure_threshold = 0};
@@ -112,7 +112,7 @@ struct ServiceConfig {
     double brownout_watermark = 0.75;
     /// Invoked on a worker thread after each background refinement. Must be
     /// cheap and thread-safe; the fresh plan enables in-flight hot-swaps.
-    std::function<void(const RefineOutcome&)> on_refined;
+    std::function<void(const RefineOutcome&)> on_refined{};
 };
 
 class SolverService {

@@ -119,12 +119,12 @@ TEST(AutoscaleController, SteppedShrinksInReverseOrderAndRespectsFloors)
 TEST(AutoscaleController, ShrinkCandidatesKeepLegacyOrderByDefault)
 {
     AutoscalePolicy policy = test_policy();
-    policy.grow_first = CoreType::little; // legacy shrink frees big first
+    policy.grow_first = CoreType::little; // so a shrink frees big first
     const auto candidates = AutoscaleController::shrink_candidates(policy, {2, 2});
     ASSERT_EQ(candidates.count, 2);
     EXPECT_EQ(candidates.target[0], (Resources{1, 2}));
     EXPECT_EQ(candidates.target[1], (Resources{2, 1}));
-    // stepped() is the first candidate, so the legacy behavior is unchanged.
+    // stepped() is the first candidate.
     EXPECT_EQ(AutoscaleController::stepped(policy, {2, 2}, ScaleDecision::shrink),
               (Resources{1, 2}));
     // One-axis slack: a single candidate; at the floor: none.
@@ -132,29 +132,6 @@ TEST(AutoscaleController, ShrinkCandidatesKeepLegacyOrderByDefault)
     ASSERT_EQ(only_little.count, 1);
     EXPECT_EQ(only_little.target[0], (Resources{0, 1}));
     EXPECT_EQ(AutoscaleController::shrink_candidates(policy, {0, 1}).count, 0);
-}
-
-TEST(AutoscaleController, ShrinkCheapestFirstOrdersByResultingPower)
-{
-    AutoscalePolicy policy = test_policy();
-    policy.shrink_cheapest_first = true;
-    policy.power = amp::core::PowerModel{4.0, 1.0, 0.1};
-    // grow_first = big makes the legacy order free LITTLE first; the energy
-    // ordering must override it and free the expensive big core first
-    // ({1, 2} costs 6W, {2, 1} costs 9W).
-    policy.grow_first = CoreType::big;
-    const auto candidates = AutoscaleController::shrink_candidates(policy, {2, 2});
-    ASSERT_EQ(candidates.count, 2);
-    EXPECT_EQ(candidates.target[0], (Resources{1, 2}));
-    EXPECT_EQ(candidates.target[1], (Resources{2, 1}));
-    EXPECT_EQ(AutoscaleController::stepped(policy, {2, 2}, ScaleDecision::shrink),
-              (Resources{1, 2}));
-    // A uniform power model ties both candidates: legacy order is kept, so
-    // enabling the flag alone is behavior-neutral.
-    policy.power = amp::core::PowerModel{1.0, 1.0, 0.1};
-    const auto tied = AutoscaleController::shrink_candidates(policy, {2, 2});
-    ASSERT_EQ(tied.count, 2);
-    EXPECT_EQ(tied.target[0], (Resources{2, 1})) << "legacy order: free little first";
 }
 
 TEST(AutoscaleController, StepLargerThanOneMovesMultipleCores)
@@ -195,7 +172,8 @@ dsim::AutoscaleScenario step_scenario()
 
 TEST(AutoscaleSim, StepLoadGrowsThenShrinksWithoutFlapping)
 {
-    const dsim::AutoscaleSimResult result = dsim::simulate_autoscale(step_scenario());
+    const dsim::AutoscaleScenario scenario = step_scenario();
+    const dsim::AutoscaleSimResult result = dsim::simulate_autoscale(scenario);
     EXPECT_GT(result.grows, 0u) << "the 3x step must trigger growth";
     EXPECT_GT(result.shrinks, 0u) << "the trailing idle must hand cores back";
     EXPECT_GE(result.min_action_gap_us, 50'000)
@@ -203,8 +181,17 @@ TEST(AutoscaleSim, StepLoadGrowsThenShrinksWithoutFlapping)
     EXPECT_GT(result.samples, 0u);
     // Every re-solve after the first rides the retained frontier.
     EXPECT_GT(result.warm_fraction, 0.9);
-    for (const auto& event : result.events)
+    // Every event prices the HeRAD schedule in force after it.
+    for (const auto& event : result.events) {
         EXPECT_EQ(event.after.total() >= 1, true);
+        EXPECT_GT(event.energy_per_item, 0.0);
+        EXPECT_DOUBLE_EQ(event.energy_per_item,
+                         amp::core::energy_per_item(
+                             scenario.chain,
+                             amp::core::schedule(amp::core::Strategy::herad, scenario.chain,
+                                                 event.after),
+                             scenario.power));
+    }
 }
 
 // The exact action sequence of the step replay: a change to the shared
@@ -253,34 +240,6 @@ TEST(AutoscaleSim, StepReplayMatchesThePinnedTrace)
     EXPECT_EQ(result.infeasible, 0u);
     EXPECT_DOUBLE_EQ(result.warm_fraction, 13.0 / 14.0) << "all but the initial cold solve";
     EXPECT_EQ(result.final_pool, (Resources{0, 2}));
-}
-
-TEST(AutoscaleSim, CheapestFirstShrinkFreesBigCores)
-{
-    // Same idle tail, two replays: legacy shrink order vs energy-aware.
-    // With grow_first = big the legacy policy frees littles first on the
-    // trailing idle; the energy-aware one must free bigs first and end the
-    // run on a cheaper allocation (never a more expensive one).
-    dsim::AutoscaleScenario legacy = step_scenario();
-    legacy.initial = {2, 2};
-    legacy.policy.grow_first = CoreType::big;
-    dsim::AutoscaleScenario cheapest = legacy;
-    cheapest.policy.shrink_cheapest_first = true;
-    cheapest.policy.power = amp::core::PowerModel{4.0, 1.0, 0.1};
-    cheapest.power = cheapest.policy.power;
-
-    const dsim::AutoscaleSimResult a = dsim::simulate_autoscale(legacy);
-    const dsim::AutoscaleSimResult b = dsim::simulate_autoscale(cheapest);
-    ASSERT_GT(b.shrinks, 0u);
-    const auto watts = [](Resources r) { return 4.0 * r.big + 1.0 * r.little; };
-    EXPECT_LE(watts(b.final_pool), watts(a.final_pool))
-        << "energy-aware shrink must not end on a costlier pool";
-    // The replay records the energy of every adopted schedule.
-    bool saw_energy = false;
-    for (const auto& event : b.events)
-        if (event.energy_per_item > 0.0)
-            saw_energy = true;
-    EXPECT_TRUE(saw_energy);
 }
 
 TEST(AutoscaleSim, SineLoadTracksWithBoundedError)

@@ -42,8 +42,9 @@ TEST(FailureSim, RandomFailurePlanIsDeterministic)
         EXPECT_GE(a[i].frame, 100u);
         EXPECT_LT(a[i].frame, 2000u);
         EXPECT_LT(a[i].stage, 3u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].frame, a[i - 1].frame) << "plan sorted by frame";
+        }
     }
 }
 
@@ -129,6 +130,9 @@ TEST(FailureSim, MirrorsRuntimeReschedulerDecisions)
         EXPECT_EQ(twin.resources(), record.resources_after);
         EXPECT_EQ(expected, record.new_solution)
             << "dsim must take the decision the runtime would take";
+        EXPECT_EQ(record.new_solution,
+                  core::schedule(core::Strategy::herad, chain, record.resources_after))
+            << "a loss is one HeRAD solve at the degraded budget";
     }
     EXPECT_EQ(result.final_solution, result.recoveries.back().new_solution);
 }

@@ -49,8 +49,9 @@ TEST_P(Table2Regression, MatchesPaper)
     ASSERT_FALSE(solution.empty()) << row.id;
     EXPECT_TRUE(solution.is_well_formed(chain)) << row.id;
     EXPECT_NEAR(solution.period(chain), row.paper_period_us, 0.25) << row.id;
-    if (row.paper_decomposition != nullptr)
+    if (row.paper_decomposition != nullptr) {
         EXPECT_EQ(solution.decomposition(), row.paper_decomposition) << row.id;
+    }
     EXPECT_EQ(solution.used(CoreType::big), row.paper_big_used) << row.id;
     EXPECT_EQ(solution.used(CoreType::little), row.paper_little_used) << row.id;
 }

@@ -46,8 +46,9 @@ TEST(ExecutionPlanCompile, RoundTripsEveryStrategyOnRandomChains)
                 for (const int id : st.worker_ids)
                     EXPECT_EQ(id, next_id++) << "worker ids are dense and stage-major";
                 EXPECT_EQ(st.replicated, st.replicas > 1);
-                if (st.replicated)
+                if (st.replicated) {
                     EXPECT_FALSE(st.sequential) << "replicated stages must be replicable";
+                }
                 EXPECT_EQ(st.sequential, !chain.interval_replicable(st.first, st.last));
                 EXPECT_DOUBLE_EQ(st.service_us,
                                  chain.interval_sum(st.first, st.last, st.type));

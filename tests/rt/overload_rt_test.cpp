@@ -79,8 +79,9 @@ TEST(OrderedQueueOverload, ShedOldestTombstonesOldestDataFirst)
         ASSERT_TRUE(envelope.has_value());
         EXPECT_EQ(envelope->seq, seq);
         EXPECT_EQ(envelope->dropped, seq < 2) << "seq " << seq;
-        if (seq >= 2)
+        if (seq >= 2) {
             EXPECT_EQ(envelope->payload, static_cast<int>(seq) + 10);
+        }
     }
 }
 

@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -77,6 +80,46 @@ TEST(PipelineStress, ThroughputScalesWithReplication)
         << "4 replicas should overlap the per-frame waits";
 }
 
+/// Forwards every after_task to a SlowdownEmulator and records the core
+/// type, the task's own cost and the time spent inside the emulator.
+class RecordingEmulator final : public CoreEmulator {
+public:
+    struct Call {
+        CoreType type;
+        std::chrono::nanoseconds elapsed;
+        std::chrono::nanoseconds spent;
+    };
+
+    explicit RecordingEmulator(double factor)
+        : inner_(factor)
+    {
+    }
+
+    void after_task(int task_index, CoreType worker_type,
+                    std::chrono::nanoseconds elapsed) override
+    {
+        const auto begin = std::chrono::steady_clock::now();
+        inner_.after_task(task_index, worker_type, elapsed);
+        const auto spent = std::chrono::steady_clock::now() - begin;
+        std::lock_guard lock{mutex_};
+        calls_.push_back(Call{worker_type, elapsed, spent});
+    }
+
+    std::vector<Call> take()
+    {
+        std::lock_guard lock{mutex_};
+        return std::exchange(calls_, {});
+    }
+
+private:
+    SlowdownEmulator inner_;
+    std::mutex mutex_;
+    std::vector<Call> calls_;
+};
+
+// The factor-4 emulator must spin a little worker for 3x each task's cost
+// and leave a big worker alone. A spin to a deadline can only overrun, so
+// the lower bound on the time spent holds under any host load.
 TEST(PipelineStress, EmulatorSlowsLittleStages)
 {
     auto build = [] {
@@ -89,21 +132,28 @@ TEST(PipelineStress, EmulatorSlowsLittleStages)
         }));
         return seq;
     };
-    SlowdownEmulator emulator{4.0};
+    RecordingEmulator emulator{4.0};
     PipelineConfig config;
     config.emulator = &emulator;
-
-    auto seq_big = build();
-    Pipeline<Frame> on_big{seq_big, Solution{{Stage{1, 1, 1, CoreType::big}}}, config};
-    const auto big_result = on_big.run(100);
 
     auto seq_little = build();
     Pipeline<Frame> on_little{seq_little, Solution{{Stage{1, 1, 1, CoreType::little}}},
                               config};
-    const auto little_result = on_little.run(100);
+    ASSERT_EQ(on_little.run(100).frames, 100u);
+    const auto little_calls = emulator.take();
+    ASSERT_EQ(little_calls.size(), 100u);
+    for (const auto& call : little_calls) {
+        EXPECT_EQ(call.type, CoreType::little);
+        EXPECT_GE(call.spent, 3 * call.elapsed) << "factor-4 emulation spins 3x the task";
+    }
 
-    EXPECT_GT(big_result.fps(), little_result.fps() * 2.0)
-        << "factor-4 emulation must show up in throughput";
+    auto seq_big = build();
+    Pipeline<Frame> on_big{seq_big, Solution{{Stage{1, 1, 1, CoreType::big}}}, config};
+    ASSERT_EQ(on_big.run(100).frames, 100u);
+    const auto big_calls = emulator.take();
+    ASSERT_EQ(big_calls.size(), 100u);
+    for (const auto& call : big_calls)
+        EXPECT_EQ(call.type, CoreType::big);
 }
 
 TEST(PipelineStress, BackToBackRunsAccumulateState)

@@ -1,6 +1,7 @@
 #include "rt/rescheduler.hpp"
 
 #include "rt/fault.hpp"
+#include "sim/generator.hpp"
 #include "svc/solver_service.hpp"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,56 @@ TEST(Rescheduler, DegradedPeriodNeverImproves)
         EXPECT_GE(period, previous - 1e-9) << "fewer cores cannot beat the old period";
         previous = period;
     }
+}
+
+// Oracle for the single-solve recovery: HeRAD is period-optimal (paper
+// §V), so a loss re-solves HeRAD alone, warm from the kept frontier. Over
+// seeded random chains and random loss sequences down to one core, every
+// re-solve must equal a cold HeRAD solve at the degraded budget, and no
+// other strategy may find a shorter period there. The private service
+// caches nothing, so every loss is answered from the frontier.
+TEST(Rescheduler, LossSequenceMatchesColdHeradOracle)
+{
+    using amp::core::Strategy;
+    amp::svc::ServiceConfig service_config;
+    service_config.workers = 1;
+    service_config.cache_capacity = 0;
+    amp::svc::SolverService service{service_config};
+    ReschedulePolicy policy;
+    policy.service = &service;
+
+    const double ratios[] = {0.0, 0.2, 0.5, 0.8, 1.0};
+    amp::Rng rng{0x5EED10055};
+    int losses = 0;
+    for (int round = 0; round < 400; ++round) {
+        amp::sim::GeneratorConfig config;
+        config.num_tasks = static_cast<int>(rng.uniform_int(2, 20));
+        config.stateless_ratio = ratios[rng.uniform_int(0, 4)];
+        const TaskChain chain = amp::sim::generate_chain(config, rng);
+        const int big = static_cast<int>(rng.uniform_int(0, 6));
+        const int little = static_cast<int>(rng.uniform_int(big > 1 ? 0 : 2 - big, 6));
+        Rescheduler rescheduler{chain, Resources{big, little}, policy};
+        while (rescheduler.resources().total() > 1) {
+            CoreType lost = rng.bernoulli(0.5) ? CoreType::big : CoreType::little;
+            if (rescheduler.resources().count(lost) == 0)
+                lost = amp::core::other(lost);
+            const Solution warm = rescheduler.on_core_loss(lost);
+            const Resources at = rescheduler.resources();
+            SCOPED_TRACE(testing::Message()
+                         << "round " << round << ", R = (" << at.big << ", " << at.little << ")");
+            ASSERT_EQ(warm, amp::core::schedule(Strategy::herad, chain, at));
+            const double period = warm.period(chain);
+            for (const Strategy other : {Strategy::fertac, Strategy::twocatac,
+                                         Strategy::otac_big, Strategy::otac_little}) {
+                const Solution rival = amp::core::schedule(other, chain, at);
+                if (!rival.empty()) {
+                    EXPECT_GE(rival.period(chain), period) << amp::core::to_string(other);
+                }
+            }
+            ++losses;
+        }
+    }
+    EXPECT_GT(losses, 1000);
 }
 
 TEST(Rescheduler, SmallDriftIsIgnored)
@@ -383,8 +434,7 @@ TEST(RunWithRecovery, WorkerKillReschedulesAndCompletesTheStream)
 }
 
 // Regression: losing several cores in one run used to trigger one full
-// recompute (one solver batch) PER fenced core, transiently adopting
-// intermediate solutions. The degraded path must shrink for every loss
+// recompute PER fenced core, transiently adopting intermediate solutions. The degraded path must shrink for every loss
 // first and then solve exactly once -- pinned through the solver-service
 // counters of an injected private service.
 TEST(RunWithRecovery, MultiCoreLossSolvesExactlyOneBatch)
@@ -433,15 +483,15 @@ TEST(RunWithRecovery, MultiCoreLossSolvesExactlyOneBatch)
     EXPECT_EQ(count("amp_svc_cache_misses{strategy=\"herad\"}")
                   + count("amp_svc_cache_hits{strategy=\"herad\"}"),
               2u)
-        << "one solver batch for the initial solution and ONE for the "
-           "double loss -- not one per fenced core";
+        << "one solve for the initial solution and ONE for the double "
+           "loss -- not one per fenced core";
 }
 
 // Overload model (docs/FAULT_MODEL.md): a watchdog core loss while the
 // service's admission queue is saturated with bulk traffic must still
-// re-solve exactly once and recover -- recovery re-solves carry
-// svc::kRecoveryPriority, so the priority_aware shedder displaces junk for
-// them instead of shedding them behind it.
+// re-solve exactly once and recover -- a recovery re-solve is one
+// SolverService::solve, which never enters the admission queue, so no
+// shedding policy can drop it.
 TEST(RunWithRecovery, CoreLossUnderAdmissionSaturationStillSolvesExactlyOnce)
 {
     constexpr std::uint64_t kFrames = 120;
@@ -461,8 +511,8 @@ TEST(RunWithRecovery, CoreLossUnderAdmissionSaturationStillSolvesExactlyOnce)
     Rescheduler rescheduler{chain, Resources{1, 3}, policy};
 
     // Junk tenant: floods the shared service with low-priority batches of a
-    // strategy outside the rescheduler's candidate set (twocatac), so the
-    // herad counters below stay attributable to recovery alone. Distinct
+    // strategy the rescheduler never solves (twocatac), so the herad
+    // counters below stay attributable to recovery alone. Distinct
     // chains defeat the cache -- every junk request is real solver work.
     std::atomic<bool> quit{false};
     std::thread junk{[&] {

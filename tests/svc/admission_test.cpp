@@ -178,7 +178,7 @@ TEST(AdmissionQueue, RecoveryPriorityAlwaysDisplacesBulkTraffic)
 {
     AdmissionQueue queue{AdmissionConfig{1, ShedPolicy::priority_aware}};
     ASSERT_EQ(queue.offer(make_ticket(1, 0)).verdict, AdmissionQueue::Verdict::admitted);
-    auto recovery = make_ticket(2, kRecoveryPriority);
+    auto recovery = make_ticket(2, 100);
     const auto offer = queue.offer(recovery);
     EXPECT_EQ(offer.verdict, AdmissionQueue::Verdict::displaced);
     EXPECT_EQ(recovery->state.load(), AdmissionTicket::State::queued);
