@@ -20,7 +20,7 @@
 //     left, initiates a graceful drain so the Rescheduler can take over.
 //
 // Workers are identified by their global index in stage-major order (the
-// paper's compact placement, the same order PipelineConfig::core_map uses).
+// paper's compact placement: stage 0's replicas first, then stage 1's).
 // Plans are either built explicitly (add) or drawn from a seed
 // (random_plan), both fully deterministic.
 

@@ -17,13 +17,41 @@
 // fenced it -- without tearing the whole pipeline down with abort(). Stale
 // pushes (seq already delivered, e.g. the original frame arriving after the
 // watchdog published a tombstone for it) are dropped silently.
+//
+// Consumer wait (`pop`, `try_pop_for`). A stream pushes at a steady cadence,
+// so the queue predicts when the next envelope lands: the last push plus the
+// median of the recent push gaps. A consumer that finds its envelope missing
+// sleeps on the condition variable until one guard before that instant (a
+// push still wakes it early), then polls an atomic push counter with the
+// lock released until the envelope lands or one window past the prediction,
+// and only then parks as a plain condition-variable wait would. A polling
+// consumer is not a condition-variable waiter, so the producer's notify
+// skips the futex wake-up, and the hand-off costs a cache-line transfer
+// instead of a trip through the scheduler. The guard, and the window equal
+// to it, is measured by the queue itself: the longest oversleep of its
+// recent timed sleeps (host timer slack sets it: about 60 us with Linux's
+// default 50 us slack on a 4-vCPU x86 VM) plus the median distance of the
+// recent push gaps from their median. No constant fits every host or
+// stream, so the wait has no option.
+//
+// CPU cost: a polled hand-off spins for at most one guard plus one window.
+// A consumer polls only while those fit in half the predicted gap, so it
+// spins for at most half its time. For closer gaps it sleeps halfway to the
+// predicted arrival, which keeps the oversleep measured, and then parks.
+// Without a history of push gaps (the first frames through a queue), or
+// once the predicted instant has passed (a stalled producer, the end of a
+// stream), the consumer parks at once, and a parked consumer uses no CPU.
+// At most one consumer of a queue polls at a time; the others park.
 
 #include "rt/envelope.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -33,6 +61,8 @@ namespace amp::rt {
 template <typename T>
 class OrderedQueue {
 public:
+    using Clock = std::chrono::steady_clock;
+
     /// Outcome of a timed push. `timed_out` is the only retryable outcome;
     /// `closed` and `stale` both consume the envelope but mean different
     /// things to the producer: closed says the whole stream is torn down
@@ -52,6 +82,17 @@ public:
         std::optional<Envelope<T>> envelope;
         bool done = false;
         [[nodiscard]] bool timed_out() const noexcept { return !envelope && !done; }
+    };
+
+    /// How the consumer waits that ended with an envelope (or abort/close)
+    /// were resolved. A pop that found its envelope buffered, and a timed
+    /// pop that timed out, count in neither.
+    struct HandoffStats {
+        std::uint64_t polled = 0; ///< found by polling at the predicted arrival
+        std::uint64_t parked = 0; ///< found after blocking on the condition variable
+        /// Current guard, which is also the poll window past the prediction;
+        /// zero until a timed sleep has measured the oversleep.
+        std::chrono::nanoseconds guard{0};
     };
 
     /// `first_seq` is the sequence number the consumer side starts waiting
@@ -75,8 +116,7 @@ public:
         });
         if (aborted_ || envelope.seq < next_seq_)
             return;
-        buffer_.emplace(envelope.seq, std::move(envelope));
-        not_empty_.notify_all();
+        land_locked(std::move(envelope));
     }
 
     /// Timed push. On `timed_out` the envelope is left intact in `envelope`
@@ -94,8 +134,7 @@ public:
             return PushOutcome::closed;
         if (envelope.seq < next_seq_)
             return PushOutcome::stale;
-        buffer_.emplace(envelope.seq, std::move(envelope));
-        not_empty_.notify_all();
+        land_locked(std::move(envelope));
         return PushOutcome::pushed;
     }
 
@@ -115,8 +154,7 @@ public:
         std::lock_guard lock{mutex_};
         if (aborted_ || envelope.seq < next_seq_)
             return;
-        buffer_.emplace(envelope.seq, std::move(envelope));
-        not_empty_.notify_all();
+        land_locked(std::move(envelope));
     }
 
     /// Pops the next in-order envelope. Returns nullopt once the end-of-
@@ -125,21 +163,16 @@ public:
     std::optional<Envelope<T>> pop()
     {
         std::unique_lock lock{mutex_};
-        not_empty_.wait(lock, [&] {
-            return aborted_ || closed_ || buffer_.count(next_seq_) != 0;
-        });
+        (void)wait_ready(lock, Clock::time_point::max());
         return pop_locked();
     }
 
     /// Timed pop: like pop() but gives up after `timeout` so the consumer
     /// can wake up (heartbeat, fencing check) without a full abort().
-    PopResult try_pop_for(std::chrono::steady_clock::duration timeout)
+    PopResult try_pop_for(Clock::duration timeout)
     {
         std::unique_lock lock{mutex_};
-        const bool ready = not_empty_.wait_for(lock, timeout, [&] {
-            return aborted_ || closed_ || buffer_.count(next_seq_) != 0;
-        });
-        if (!ready)
+        if (!wait_ready(lock, Clock::now() + timeout))
             return PopResult{};
         auto envelope = pop_locked();
         if (!envelope)
@@ -153,7 +186,7 @@ public:
     {
         std::lock_guard lock{mutex_};
         aborted_ = true;
-        not_empty_.notify_all();
+        wake_consumers_locked();
         not_full_.notify_all();
     }
 
@@ -238,7 +271,174 @@ public:
         return next_seq_;
     }
 
+    /// Polled and parked consumer waits so far (for tests/benches).
+    [[nodiscard]] HandoffStats handoffs() const
+    {
+        std::lock_guard lock{mutex_};
+        return HandoffStats{polled_, parked_,
+                            pushes_ > kHistory ? guard_locked(median_gap_locked())
+                                               : Clock::duration::zero()};
+    }
+
 private:
+    static constexpr std::size_t kHistory = 8; ///< push gaps and oversleeps the wait remembers
+
+    // Requires mutex_ held. Buffers an accepted envelope, records its push
+    // instant for the arrival prediction and wakes the consumers.
+    void land_locked(Envelope<T> envelope)
+    {
+        const Clock::time_point now = Clock::now();
+        if (pushes_ > 0)
+            gaps_[(pushes_ - 1) % kHistory] = now - last_push_;
+        last_push_ = now;
+        ++pushes_;
+        buffer_.emplace(envelope.seq, std::move(envelope));
+        wake_consumers_locked();
+    }
+
+    // Requires mutex_ held. Every change that can satisfy a waiting
+    // consumer notifies the parked ones and bumps the counter a polling
+    // consumer watches, last, so the lock is released right after it.
+    void wake_consumers_locked()
+    {
+        not_empty_.notify_all();
+        ++changes_;
+    }
+
+    // Requires mutex_ held; returns with it held. Waits until the next
+    // envelope is buffered or the queue is closed or aborted (true), or
+    // until `deadline` passes (false).
+    bool wait_ready(std::unique_lock<std::mutex>& lock, Clock::time_point deadline)
+    {
+        if (ready_locked())
+            return true;
+        if (!poller_ && pushes_ > kHistory) {
+            poller_ = true;
+            const bool found = wait_for_arrival(lock, deadline);
+            poller_ = false;
+            if (found)
+                return true;
+        }
+        const auto ready = [this] { return ready_locked(); };
+        if (deadline == Clock::time_point::max())
+            not_empty_.wait(lock, ready);
+        else if (!not_empty_.wait_until(lock, deadline, ready))
+            return false;
+        ++parked_;
+        return true;
+    }
+
+    // Requires mutex_ held and a full gap history; returns with the lock
+    // held. The polling consumer's wait, up to one window past the
+    // predicted arrival: true (and counted) once the next envelope is
+    // ready, false when the caller must park (an overdue prediction, a
+    // declined or fruitless poll, or `deadline`).
+    bool wait_for_arrival(std::unique_lock<std::mutex>& lock, Clock::time_point deadline)
+    {
+        const Clock::duration gap = median_gap_locked();
+        const Clock::time_point arrival = last_push_ + gap;
+        const Clock::time_point now = Clock::now();
+        if (arrival <= now)
+            return false;
+        const Clock::duration guard = guard_locked(gap);
+        // Guard plus window (equal to the guard) must fit in half a gap. A
+        // consumer that may not poll still sleeps halfway to the arrival
+        // before it parks, so the oversleep stays measured.
+        const bool poll = guard.count() > 0 && 4 * guard <= gap;
+        const Clock::time_point wake =
+            std::min(poll ? arrival - guard : now + (arrival - now) / 2, deadline);
+        if (wake > now) {
+            const bool found = not_empty_.wait_until(lock, wake, [this] { return ready_locked(); });
+            // How late past `wake` the consumer got the lock back, whether
+            // its timer or a push woke it: a push that beats a late timer
+            // still counts, or the guard would only learn the oversleeps
+            // that were short enough.
+            const Clock::time_point woke = Clock::now();
+            if (woke > wake)
+                note_oversleep_locked(woke - wake);
+            if (found) {
+                ++parked_;
+                return true;
+            }
+        }
+        if (!poll || !poll_until(lock, std::min(arrival + guard, deadline)))
+            return false;
+        ++polled_;
+        return true;
+    }
+
+    // Requires mutex_ held; returns with it held. Spins on the push counter
+    // with the lock released until the next envelope is ready or `until`
+    // passes.
+    bool poll_until(std::unique_lock<std::mutex>& lock, Clock::time_point until)
+    {
+        std::uint64_t seen = changes_.load();
+        lock.unlock();
+        while (Clock::now() < until) {
+            // The counter is bumped under the lock, so the producer may
+            // still hold it: spin for it rather than sleep on it.
+            if (changes_.load() != seen && lock.try_lock()) {
+                if (ready_locked())
+                    return true;
+                seen = changes_.load();
+                lock.unlock();
+            }
+            relax();
+        }
+        lock.lock();
+        return ready_locked();
+    }
+
+    // Requires mutex_ held. The consumer wait's predicate.
+    [[nodiscard]] bool ready_locked() const
+    {
+        return aborted_ || closed_ || buffer_.count(next_seq_) != 0;
+    }
+
+    // Requires mutex_ held and a full gap history.
+    [[nodiscard]] Clock::duration median_gap_locked() const
+    {
+        std::array<Clock::duration, kHistory> gaps = gaps_;
+        std::nth_element(gaps.begin(), gaps.begin() + kHistory / 2, gaps.end());
+        return gaps[kHistory / 2];
+    }
+
+    // Requires mutex_ held. `late` is how far past its deadline a timed
+    // sleep woke.
+    void note_oversleep_locked(Clock::duration late)
+    {
+        oversleeps_[oversleep_samples_++ % kHistory] = late;
+    }
+
+    // Requires mutex_ held and a full gap history; `gap` is the median gap.
+    // The longest recent oversleep, so the consumer is awake before the
+    // arrival, plus the median distance of a recent push gap from `gap`,
+    // so a jittery arrival still lands inside the poll (a median, so one
+    // stall or burst does not widen it). Zero until an oversleep was
+    // measured.
+    [[nodiscard]] Clock::duration guard_locked(Clock::duration gap) const
+    {
+        if (oversleep_samples_ == 0)
+            return Clock::duration::zero();
+        const auto measured =
+            static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(oversleep_samples_, kHistory));
+        std::array<Clock::duration, kHistory> deviations{};
+        std::transform(gaps_.begin(), gaps_.end(), deviations.begin(),
+                       [gap](Clock::duration g) { return g > gap ? g - gap : gap - g; });
+        std::nth_element(deviations.begin(), deviations.begin() + kHistory / 2, deviations.end());
+        return *std::max_element(oversleeps_.begin(), oversleeps_.begin() + measured)
+            + deviations[kHistory / 2];
+    }
+
+    static void relax() noexcept
+    {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    }
+
     // Requires mutex_ held and the wait predicate satisfied.
     std::optional<Envelope<T>> pop_locked()
     {
@@ -249,7 +449,7 @@ private:
         ++next_seq_;
         if (envelope.end) {
             closed_ = true;
-            not_empty_.notify_all(); // release consumers waiting on later seqs
+            wake_consumers_locked(); // release consumers waiting on later seqs
         }
         not_full_.notify_all();
         return envelope;
@@ -266,6 +466,19 @@ private:
     std::size_t high_watermark_ = 0; ///< 0 = watermark backpressure disabled
     std::size_t low_watermark_ = 0;
     mutable bool congested_ = false; ///< hysteresis latch, updated in congested()
+
+    // Consumer wait state (see the file comment).
+    bool poller_ = false;      ///< a consumer holds the polling role
+    std::uint64_t pushes_ = 0; ///< envelopes landed so far
+    Clock::time_point last_push_{};
+    std::array<Clock::duration, kHistory> gaps_{};       ///< ring of recent push gaps
+    std::array<Clock::duration, kHistory> oversleeps_{}; ///< ring of timed-sleep oversleeps
+    std::uint64_t oversleep_samples_ = 0;
+    std::uint64_t polled_ = 0;
+    std::uint64_t parked_ = 0;
+    /// Bumped on every consumer wake-up. On a cache line of its own, so a
+    /// polling consumer is not invalidated by the producer's other writes.
+    alignas(64) std::atomic<std::uint64_t> changes_{0};
 };
 
 } // namespace amp::rt

@@ -74,20 +74,11 @@
 #include <type_traits>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace amp::rt {
 
 struct PipelineConfig {
     std::size_t queue_capacity = 8;      ///< per-adaptor buffered frames
     CoreEmulator* emulator = nullptr;    ///< optional core-type emulation
-    /// Optional thread placement: worker k (in stage-major order, i.e. the
-    /// paper's compact placement) is pinned to CPU core_map[k % size]. Empty
-    /// = no pinning. Ignored on platforms without affinity support.
-    std::vector<int> core_map{};
 
     /// First frame of the stream this run produces: frames [first_frame,
     /// num_frames) flow through the pipeline. Non-zero when resuming a
@@ -181,20 +172,6 @@ struct RunResult {
         return elapsed_seconds > 0.0 ? static_cast<double>(frames) / elapsed_seconds : 0.0;
     }
 };
-
-/// Pins the calling thread to the given CPU. Returns false when pinning is
-/// unsupported or fails (never fatal: placement is a performance hint).
-inline bool pin_current_thread_to_cpu([[maybe_unused]] int cpu)
-{
-#if defined(__linux__)
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
-#else
-    return false;
-#endif
-}
 
 template <typename T>
 class Pipeline {
@@ -797,16 +774,8 @@ private:
                 born_epoch = epoch_; // sleep until the *next* segment starts
             }
         }
-        const int pin_cpu = config_.core_map.empty()
-            ? -1
-            : config_.core_map[static_cast<std::size_t>(worker->id)
-                               % config_.core_map.size()];
         Worker* raw = worker.get();
-        worker->thread = std::thread{[this, raw, born_epoch, pin_cpu] {
-            if (pin_cpu >= 0)
-                (void)pin_current_thread_to_cpu(pin_cpu);
-            worker_main(*raw, born_epoch);
-        }};
+        worker->thread = std::thread{[this, raw, born_epoch] { worker_main(*raw, born_epoch); }};
         workers_.push_back(std::move(worker));
         spawned_total_.fetch_add(1);
     }

@@ -84,35 +84,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
                              return "seed_" + std::to_string(info.param);
                          });
 
-TEST(PipelinePinning, CoreMapIsAcceptedOnThisHost)
-{
-    // Compact placement pinned to CPU 0 (always present) must not break
-    // execution; on platforms without affinity it is silently ignored.
-    rt::TaskSequence<Frame> seq;
-    seq.push_back(rt::make_task<Frame>("a", false, [](Frame& f) { f.digest = f.seq; }));
-    seq.push_back(rt::make_task<Frame>("b", false, [](Frame& f) { f.digest += 7; }));
-    rt::PipelineConfig config;
-    config.core_map = {0, 0, 0};
-    rt::Pipeline<Frame> pipeline{
-        seq,
-        core::Solution{{core::Stage{1, 1, 2, core::CoreType::big},
-                        core::Stage{2, 2, 1, core::CoreType::little}}},
-        config};
-    std::vector<std::uint64_t> digests;
-    const auto result = pipeline.run(30, [&](Frame& f) { digests.push_back(f.digest); });
-    EXPECT_EQ(result.frames, 30u);
-    for (std::uint64_t i = 0; i < digests.size(); ++i)
-        EXPECT_EQ(digests[i], i + 7);
-}
-
-TEST(PipelinePinning, PinHelperReportsStatus)
-{
-#if defined(__linux__)
-    // CPU 0 always exists; pinning to it must succeed.
-    EXPECT_TRUE(rt::pin_current_thread_to_cpu(0));
-#else
-    EXPECT_FALSE(rt::pin_current_thread_to_cpu(0));
-#endif
-}
-
 } // namespace
