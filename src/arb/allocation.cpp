@@ -8,6 +8,11 @@
 namespace amp::arb {
 namespace {
 
+/// A grant must improve the tenant's period by more than this (us) to be
+/// worth a core; smaller improvements saturate the tenant and leave the
+/// core for others (or unused -- visible in pool_left).
+constexpr double kImprovementEpsilonUs = 1e-9;
+
 /// Mutable filling state shared by the policies.
 struct FillState {
     const std::vector<TenantDemand>& demands;
@@ -124,7 +129,7 @@ struct FillState {
         }
         const bool improves = best != probes.size()
             && (std::isinf(alloc.period_us)
-                || periods[best] + config.improvement_epsilon_us < alloc.period_us);
+                || periods[best] + kImprovementEpsilonUs < alloc.period_us);
         if (!improves) {
             alloc.saturated = true;
             return false;

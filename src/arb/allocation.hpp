@@ -17,9 +17,9 @@
 // weighted rate (1/period)/weight -- the "driest" tenant -- probe its two
 // single-core extensions (+1 big, +1 little), and grant whichever yields
 // the lower period. A tenant saturates (drops out) when neither extension
-// improves its period by more than `improvement_epsilon`, when its quota
-// cap is reached, or when the pool runs out of the only core type that
-// still helps it. The loop terminates because every round either consumes
+// improves its period by more than 1e-9 us, when its quota cap is
+// reached, or when the pool runs out of the only core type that still
+// helps it. The loop terminates because every round either consumes
 // a core or saturates a tenant. Ties break on ascending tenant index, so
 // equal inputs produce identical traces on every platform.
 
@@ -127,10 +127,6 @@ struct AllocationResult {
 struct AllocationConfig {
     core::Resources pool{};
     AllocPolicy policy = AllocPolicy::weighted_max_min;
-    /// A grant must improve the tenant's period by more than this (us) to
-    /// be worth a core; smaller improvements saturate the tenant and leave
-    /// the core for others (or unused -- visible in pool_left).
-    double improvement_epsilon_us = 1e-9;
 };
 
 /// Splits `config.pool` across `demands` under `config.policy`. Pure and

@@ -54,7 +54,6 @@ core::ScheduleRequest Arbiter::request_for(const Tenant& tenant, core::Resources
     request.resources = budget;
     request.strategy = tenant.spec.strategy;
     request.options = tenant.spec.options;
-    request.priority = tenant.spec.priority;
     return request;
 }
 
@@ -260,7 +259,6 @@ ArbitrationReport Arbiter::rearbitrate_locked()
     AllocationConfig alloc_config;
     alloc_config.pool = config_.pool;
     alloc_config.policy = config_.policy;
-    alloc_config.improvement_epsilon_us = config_.improvement_epsilon_us;
     report.allocation = allocate(demands, alloc_config, oracle);
 
     // Apply: re-solve and push every tenant whose budget changed.

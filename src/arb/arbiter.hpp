@@ -22,10 +22,7 @@
 //
 // Tenant join / leave / weight change / chain drift mark the arbiter dirty;
 // the owner (or dsim::simulate_multi_tenant, which replays the same loop in
-// virtual time) calls rearbitrate() to re-run the allocation. Probe and
-// re-solve requests are stamped with the tenant's admission priority, so a
-// service running priority_aware shedding sheds low-priority tenants'
-// arbitration traffic first under overload.
+// virtual time) calls rearbitrate() to re-run the allocation.
 //
 // Telemetry: amp_arb_* counters/gauges (obs/schema.hpp, table in
 // docs/SOLVER_SERVICE.md) recorded into an injected registry or the
@@ -69,9 +66,6 @@ struct ArbiterConfig {
     plan::PlanOptions plan_options{};
     /// Metrics registry for the amp_arb_* instruments; null = the service's.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Minimum period improvement (us) worth one more core (see
-    /// AllocationConfig::improvement_epsilon_us).
-    double improvement_epsilon_us = 1e-9;
 };
 
 /// Public view of one tenant between rearbitrations.

@@ -53,11 +53,7 @@ struct TenantSpec {
     /// unsaturated.
     double weight = 1.0;
     TenantQuota quota{};
-    /// Admission priority stamped on every arbitration-triggered solve the
-    /// arbiter submits for this tenant (probe batches and plan re-solves),
-    /// so a solver service running priority_aware shedding sheds
-    /// low-priority tenants' probes first under overload. Also the
-    /// tie-break order for granting quota minima from an oversubscribed
+    /// Tie-break order for granting quota minima from an oversubscribed
     /// pool, and the service order of the priority_only baseline policy.
     std::int8_t priority = 0;
     /// Strategy/options every solve for this tenant uses.

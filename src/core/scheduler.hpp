@@ -169,10 +169,9 @@ struct ScheduleOptions {
 /// solve of the SAME chain and the solver answers a changed resource vector
 /// incrementally -- a shrink by a pure backwalk, a grow by computing only
 /// the new budget cells -- with a solution bit-identical to the cold solve.
-/// Like deadline/priority, the hint is NOT part of the cache identity
-/// (svc::key_of): it changes how fast the answer is computed, never what it
-/// is. Non-HeRAD strategies and mismatched frontiers fall back to the cold
-/// solve transparently.
+/// The hint is NOT part of the cache identity (svc::key_of): it changes
+/// how fast the answer is computed, never what it is. Non-HeRAD strategies
+/// and mismatched frontiers fall back to the cold solve transparently.
 struct WarmStart {
     /// Frontier from a previous solve (ScheduleResult::frontier); null on
     /// the first solve of a control loop.
@@ -195,27 +194,10 @@ struct ScheduleRequest {
     Strategy strategy = Strategy::herad;
     ScheduleOptions options{};
 
-    /// Warm-start hint; like the admission metadata below, never part of
-    /// the cache identity.
+    /// Warm-start hint; never part of the cache identity.
     WarmStart warm{};
 
-    // -- admission metadata (svc::SolverService, docs/SOLVER_SERVICE.md) --
-    // Neither field is part of the cache identity (svc::key_of): two
-    // requests that differ only in deadline/priority share one solution.
-
-    /// Absolute deadline as steady-clock nanoseconds since epoch (0 = no
-    /// deadline). A request whose deadline has passed by the time it is
-    /// picked up is answered with ScheduleError::deadline_exceeded instead
-    /// of being solved. The dsim admission model interprets the same field
-    /// in virtual time.
-    std::int64_t deadline_ns = 0;
-
-    /// Admission priority: higher wins under the priority_aware shedding
-    /// policy. Only svc::SolverService::solve_batch's admission queue reads
-    /// it; single solves (recovery and resize re-solves) never queue.
-    std::int8_t priority = 0;
-
-    /// Cache-identity namespace -- unlike the admission metadata above this
+    /// Cache-identity namespace -- unlike the warm-start hint above this
     /// IS part of svc::key_of. Solves whose answers may legitimately differ
     /// for byte-identical chains must not share cache entries: a graph
     /// branch sub-chain (svc::kGraphBranchDomain) is solved and *planned*
@@ -235,12 +217,9 @@ enum class ScheduleError : std::uint8_t {
     /// The request itself is malformed: empty chain, negative or all-zero
     /// resource vector, or an OTAC variant with zero cores of its type.
     invalid_request,
-    /// Shed by admission control (queue full, circuit breaker open, or the
-    /// service is stopping) before the solver ran. Unlike infeasible this
-    /// says nothing about the chain: retrying later may succeed.
+    /// The solver service was stopped (svc::SolverService::stop) before
+    /// the solver ran. Unlike infeasible this says nothing about the chain.
     rejected,
-    /// The request's deadline passed before a worker could start solving it.
-    deadline_exceeded,
 };
 
 [[nodiscard]] constexpr const char* to_string(ScheduleError error) noexcept
@@ -250,7 +229,6 @@ enum class ScheduleError : std::uint8_t {
     case ScheduleError::infeasible: return "infeasible";
     case ScheduleError::invalid_request: return "invalid_request";
     case ScheduleError::rejected: return "rejected";
-    case ScheduleError::deadline_exceeded: return "deadline_exceeded";
     }
     return "?";
 }
@@ -261,11 +239,6 @@ struct ScheduleResult {
     ScheduleStats stats; ///< binary-search telemetry (zero for HeRAD)
     ScheduleError error = ScheduleError::ok;
     bool cache_hit = false;  ///< set by svc::SolverService on cache hits
-    /// Brownout serving (svc::SolverService): the solution is a *stale*
-    /// cached schedule for the same chain (possibly solved for a smaller
-    /// resource vector or different options), served under pressure while a
-    /// background refinement re-solves the exact request.
-    bool degraded = false;
     std::uint64_t solve_ns = 0; ///< wall time of the solve (or cache lookup)
 
     /// DP frontier for warm-starting the next re-solve. Set only for HeRAD

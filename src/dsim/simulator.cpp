@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -396,117 +395,6 @@ std::vector<SimFailure> random_failures(std::uint64_t seed, int count, std::uint
     std::stable_sort(plan.begin(), plan.end(),
                      [](const SimFailure& a, const SimFailure& b) { return a.frame < b.frame; });
     return plan;
-}
-
-AdmissionSimResult simulate_admission(const std::vector<AdmissionArrival>& arrivals,
-                                      const AdmissionSimConfig& config)
-{
-    AdmissionSimResult result;
-    svc::AdmissionQueue queue{config.admission};
-    svc::CircuitBreaker breaker{config.breaker};
-
-    const std::size_t servers =
-        config.servers > 0 ? static_cast<std::size_t>(config.servers) : 1;
-    std::vector<std::int64_t> free_at_us(servers, 0);
-
-    // Mirror of the service's worker deques: tickets in arrival order. A
-    // shed (displaced) ticket stays in the deque as a no-op exactly like
-    // the runtime's -- the dispatcher skips it on pop.
-    struct Pending {
-        std::shared_ptr<svc::AdmissionTicket> ticket;
-        std::size_t request = 0;
-        std::int64_t arrived_us = 0;
-    };
-    std::deque<Pending> fifo;
-
-    auto decide = [&result](std::size_t request, AdmissionOutcome outcome, std::int64_t at_us) {
-        result.decisions.push_back(AdmissionDecision{request, outcome, at_us});
-        switch (outcome) {
-        case AdmissionOutcome::served: ++result.served; break;
-        case AdmissionOutcome::failed: ++result.failed; break;
-        case AdmissionOutcome::rejected_queue: ++result.rejected_queue; break;
-        case AdmissionOutcome::displaced: ++result.displaced; break;
-        case AdmissionOutcome::rejected_breaker: ++result.rejected_breaker; break;
-        case AdmissionOutcome::deadline_exceeded: ++result.deadline_exceeded; break;
-        }
-    };
-
-    // Runs every dispatch that starts strictly before `horizon_us` (the next
-    // arrival). Ties go to the arrival: a displacing newcomer at time t
-    // beats a server grabbing its victim at t.
-    auto dispatch_until = [&](std::int64_t horizon_us) {
-        for (;;) {
-            while (!fifo.empty()
-                   && fifo.front().ticket->state.load(std::memory_order_acquire)
-                       != svc::AdmissionTicket::State::queued)
-                fifo.pop_front();
-            if (fifo.empty())
-                return;
-            auto freest = std::min_element(free_at_us.begin(), free_at_us.end());
-            const Pending& head = fifo.front();
-            const std::int64_t start_us = std::max(*freest, head.arrived_us);
-            if (start_us >= horizon_us)
-                return;
-            Pending job = std::move(fifo.front());
-            fifo.pop_front();
-            if (!job.ticket->claim())
-                continue; // shed between the state peek and the claim
-            queue.release(*job.ticket);
-            const AdmissionArrival& arrival = arrivals[job.request];
-            if (job.ticket->deadline_ns > 0 && start_us * 1000 > job.ticket->deadline_ns) {
-                decide(job.request, AdmissionOutcome::deadline_exceeded, start_us);
-                continue; // the check is instant; the server stays free
-            }
-            if (!breaker.allow(start_us * 1000)) {
-                decide(job.request, AdmissionOutcome::rejected_breaker, start_us);
-                continue;
-            }
-            const std::int64_t end_us = start_us + std::max<std::int64_t>(arrival.service_us, 0);
-            *freest = end_us;
-            if (arrival.fails) {
-                breaker.on_failure(end_us * 1000);
-                decide(job.request, AdmissionOutcome::failed, end_us);
-            } else {
-                breaker.on_success(end_us * 1000);
-                decide(job.request, AdmissionOutcome::served, end_us);
-            }
-        }
-    };
-
-    // Arrivals are processed in (at_us, index) order without mutating the
-    // caller's vector (decisions index into it as given).
-    std::vector<std::size_t> order(arrivals.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&arrivals](std::size_t a, std::size_t b) {
-        return arrivals[a].at_us < arrivals[b].at_us;
-    });
-
-    for (const std::size_t index : order) {
-        const AdmissionArrival& arrival = arrivals[index];
-        dispatch_until(arrival.at_us);
-        auto ticket = std::make_shared<svc::AdmissionTicket>();
-        ticket->priority = arrival.priority;
-        ticket->deadline_ns = arrival.deadline_us > 0 ? arrival.deadline_us * 1000 : 0;
-        // The ticket id carries the arrival index (a pointer->index map
-        // would break when the allocator reuses a freed ticket's address).
-        ticket->id = static_cast<std::uint64_t>(index) + 1;
-        const svc::AdmissionQueue::Offer offer = queue.offer(ticket);
-        if (offer.verdict == svc::AdmissionQueue::Verdict::rejected) {
-            decide(index, AdmissionOutcome::rejected_queue, arrival.at_us);
-            continue;
-        }
-        if (offer.verdict == svc::AdmissionQueue::Verdict::displaced && offer.victim)
-            decide(static_cast<std::size_t>(offer.victim->id - 1),
-                   AdmissionOutcome::displaced, arrival.at_us);
-        fifo.push_back(Pending{std::move(ticket), index, arrival.at_us});
-    }
-    dispatch_until(std::numeric_limits<std::int64_t>::max());
-
-    result.breaker_transitions = breaker.transitions();
-    result.breaker_trips = breaker.trips();
-    result.admission_stats = queue.stats();
-    return result;
 }
 
 // -- multi-tenant arbitration ---------------------------------------------

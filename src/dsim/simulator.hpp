@@ -26,8 +26,6 @@
 #include "plan/execution_plan.hpp"
 #include "rt/autoscaler.hpp"
 #include "rt/rescheduler.hpp"
-#include "svc/admission.hpp"
-#include "svc/circuit_breaker.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -176,97 +174,12 @@ simulate_with_failures(const core::TaskChain& chain, const core::Solution& solut
                                                       std::uint64_t frames,
                                                       std::size_t stage_count);
 
-// -- admission / overload events ------------------------------------------
-//
-// Thread-free mirror of the solver service's overload protection
-// (docs/FAULT_MODEL.md, "Overload model"). The simulation does not
-// re-implement the decision logic: it drives the *same* svc::AdmissionQueue
-// and svc::CircuitBreaker classes the runtime uses, in virtual time (both
-// are deterministic given a serial call sequence -- the queue is time-free,
-// the breaker takes explicit timestamps). A runtime admission trace and a
-// simulated one therefore cannot drift apart in semantics, which the
-// trace-equality test pins.
-
-/// One solve request arriving at the simulated service.
-struct AdmissionArrival {
-    std::int64_t at_us = 0;       ///< arrival (virtual) time
-    std::int64_t service_us = 1;  ///< solve duration when it runs
-    std::int64_t deadline_us = 0; ///< absolute virtual deadline; 0 = none
-    std::int8_t priority = 0;     ///< admission priority (higher wins)
-    bool fails = false;           ///< counts as a breaker failure when run
-};
-
-/// Terminal fate of one arrival.
-enum class AdmissionOutcome : std::uint8_t {
-    served,            ///< ran to completion (breaker success)
-    failed,            ///< ran and failed (breaker failure)
-    rejected_queue,    ///< shed at the admission door
-    displaced,         ///< admitted, then shed by a later arrival
-    rejected_breaker,  ///< reached a server while the breaker was open
-    deadline_exceeded, ///< reached a server after its deadline
-};
-
-[[nodiscard]] constexpr const char* to_string(AdmissionOutcome outcome) noexcept
-{
-    switch (outcome) {
-    case AdmissionOutcome::served: return "served";
-    case AdmissionOutcome::failed: return "failed";
-    case AdmissionOutcome::rejected_queue: return "rejected_queue";
-    case AdmissionOutcome::displaced: return "displaced";
-    case AdmissionOutcome::rejected_breaker: return "rejected_breaker";
-    case AdmissionOutcome::deadline_exceeded: return "deadline_exceeded";
-    }
-    return "?";
-}
-
-/// One decision, in decision order (the deterministic trace).
-struct AdmissionDecision {
-    std::size_t request = 0; ///< index into the arrivals vector
-    AdmissionOutcome outcome = AdmissionOutcome::served;
-    std::int64_t at_us = 0; ///< virtual time of the decision
-
-    [[nodiscard]] constexpr bool operator==(const AdmissionDecision&) const noexcept = default;
-};
-
-struct AdmissionSimConfig {
-    svc::AdmissionConfig admission{}; ///< same struct the runtime uses
-    svc::BreakerConfig breaker{};     ///< ditto (open_ns is virtual ns)
-    int servers = 1;                  ///< parallel solver workers
-};
-
-struct AdmissionSimResult {
-    /// Exactly one decision per arrival, in decision order.
-    std::vector<AdmissionDecision> decisions;
-    std::vector<svc::BreakerTransition> breaker_transitions; ///< virtual ns
-    std::uint64_t breaker_trips = 0;
-    svc::AdmissionStats admission_stats{};
-    // Outcome tallies (redundant with `decisions`; convenient for asserts).
-    std::uint64_t served = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t rejected_queue = 0;
-    std::uint64_t displaced = 0;
-    std::uint64_t rejected_breaker = 0;
-    std::uint64_t deadline_exceeded = 0;
-};
-
-/// Simulates the service's admission control, shedding and circuit breaker
-/// over a stream of arrivals. Arrivals are processed in (at_us, index)
-/// order; a dispatch that would start exactly when an arrival lands is
-/// processed after that arrival (so a displacing newcomer at time t beats a
-/// server grabbing the victim at t -- one rule, applied consistently).
-/// Purely deterministic: equal inputs produce identical decision traces
-/// and breaker transition logs on every platform.
-[[nodiscard]] AdmissionSimResult
-simulate_admission(const std::vector<AdmissionArrival>& arrivals,
-                   const AdmissionSimConfig& config = {});
-
 // -- multi-tenant arbitration ---------------------------------------------
 //
 // Virtual-time replay of the arbiter's global allocation loop
-// (docs/ARBITER.md). As with the admission simulation, the decision logic
-// is not re-implemented: the scenario drives a real arb::Arbiter -- the
-// same registry, water-filling loop and solver probes the runtime uses --
-// through a scripted sequence of join/leave/weight/pool events, and
+// (docs/ARBITER.md). The decision logic is not re-implemented: the
+// scenario drives a real arb::Arbiter -- the same registry, water-filling
+// loop and solver probes the runtime uses -- through a scripted sequence of join/leave/weight/pool events, and
 // integrates each tenant's delivered frames over the intervals between
 // rearbitrations. The arbiter is wall-clock-free and the solvers are
 // bit-deterministic, so two replays of one scenario produce identical
@@ -356,14 +269,14 @@ struct MultiTenantResult {
 // Autoscaling replay (docs/AUTOSCALING.md)
 //
 // Virtual-time replay of the rt::Autoscaler control loop against a scripted
-// offered-load profile. As with the admission and multi-tenant replays the
-// decision logic is not re-implemented: the replay feeds the live
-// autoscaler's own rt::ResizeStep (controller hysteresis, patience,
-// cooldown and clamps, then the warm-start re-solve), landing every
-// feasible re-solve, so a live autoscaler fed the same utilization series
-// takes the same actions. Utilization is offered load over delivered
-// capacity (offered_fps * period_us / 1e6); both sides of the loop are
-// deterministic, so equal scenarios produce identical event traces.
+// offered-load profile. As with the multi-tenant replay the decision logic
+// is not re-implemented: the replay feeds the live autoscaler's own
+// rt::ResizeStep (controller hysteresis, patience, cooldown and clamps,
+// then the warm-start re-solve), landing every feasible re-solve, so a
+// live autoscaler fed the same utilization series takes the same actions.
+// Utilization is offered load over delivered capacity (offered_fps *
+// period_us / 1e6); both sides of the loop are deterministic, so equal
+// scenarios produce identical event traces.
 
 /// One step of the offered-load profile: from `at_us` on, the stream offers
 /// `offered_fps` frames per second (step-hold until the next point).

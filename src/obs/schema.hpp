@@ -74,20 +74,6 @@ inline constexpr const char* kBrownoutEntries = "amp_brownout_entries_total";
     return "amp_queue_depth{stage=\"" + std::to_string(stage) + "\"}";
 }
 
-// Solver-service admission control / circuit breaker / brownout serving
-// (docs/SOLVER_SERVICE.md). The dsim admission model reuses the runtime's
-// decision classes, so these names cover both.
-inline constexpr const char* kSvcAdmissionRejected = "amp_svc_admission_rejected_total";
-inline constexpr const char* kSvcAdmissionDisplaced = "amp_svc_admission_displaced_total";
-inline constexpr const char* kSvcAdmissionDepth = "amp_svc_admission_depth";
-inline constexpr const char* kSvcDeadlineExceeded = "amp_svc_deadline_exceeded_total";
-inline constexpr const char* kSvcDegradedServes = "amp_svc_degraded_serves_total";
-inline constexpr const char* kSvcRefinements = "amp_svc_refinements_total";
-inline constexpr const char* kSvcBreakerRejected = "amp_svc_breaker_rejected_total";
-inline constexpr const char* kSvcBreakerTrips = "amp_svc_breaker_trips_total";
-/// Gauge mirroring svc::BreakerState (0 closed, 1 open, 2 half-open).
-inline constexpr const char* kSvcBreakerState = "amp_svc_breaker_state";
-
 // -- multi-tenant arbiter (docs/ARBITER.md) --------------------------------
 //
 // Recorded by arb::Arbiter into its configured registry (the solver

@@ -60,49 +60,6 @@ std::optional<SolutionCache::PlannedHit> SolutionCache::get_planned(const CacheK
     return hit;
 }
 
-std::optional<SolutionCache::PlannedHit> SolutionCache::find_stale(const CacheKey& want)
-{
-    if (!enabled())
-        return std::nullopt;
-    // Entries live behind per-shard locks, so candidates are copied out and
-    // ranked by their (copied) key: same strategy beats other strategies,
-    // then the largest fitting resource vector, then the lowest strategy id.
-    const auto better = [&](const CacheKey& a, const CacheKey& b) {
-        const bool a_strategy = a.strategy == want.strategy;
-        const bool b_strategy = b.strategy == want.strategy;
-        if (a_strategy != b_strategy)
-            return a_strategy;
-        const auto a_cores = a.big + a.little;
-        const auto b_cores = b.big + b.little;
-        if (a_cores != b_cores)
-            return a_cores > b_cores;
-        return a.strategy < b.strategy;
-    };
-    std::optional<CacheKey> best_key;
-    std::optional<PlannedHit> hit;
-    for (Shard& shard : shards_) {
-        std::lock_guard lock{shard.mutex};
-        for (const Entry& entry : shard.lru) {
-            if (entry.key.chain_fingerprint != want.chain_fingerprint
-                || entry.key.chain_fingerprint2 != want.chain_fingerprint2
-                || entry.key.chain_tasks != want.chain_tasks
-                || entry.key.domain != want.domain)
-                continue;
-            if (!entry.result.ok())
-                continue;
-            if (entry.key.big > want.big || entry.key.little > want.little)
-                continue; // would overcommit the requested budget
-            if (!best_key || better(entry.key, *best_key)) {
-                best_key = entry.key;
-                hit = PlannedHit{entry.result, entry.plan};
-            }
-        }
-    }
-    if (hit)
-        hit->result.cache_hit = true;
-    return hit;
-}
-
 void SolutionCache::put(const CacheKey& key, const core::ScheduleResult& result)
 {
     put_planned(key, result, nullptr);

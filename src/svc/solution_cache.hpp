@@ -136,17 +136,6 @@ public:
     /// (null when the result was admitted without one).
     [[nodiscard]] std::optional<PlannedHit> get_planned(const CacheKey& key);
 
-    /// Brownout lookup (stale-while-revalidate, docs/SOLVER_SERVICE.md):
-    /// after an exact miss on `want`, returns any *successful* cached entry
-    /// for the same chain identity whose resource vector fits within the
-    /// requested budget (entry R <= want R componentwise -- such a schedule
-    /// is guaranteed runnable on the requested machine, just not optimal
-    /// for it). Preference order: same strategy first, then the largest
-    /// fitting resource vector, then the lowest strategy id (deterministic).
-    /// A full-shard scan -- only taken on the degraded path, never on hits.
-    /// Does not touch LRU order or the hit/miss counters.
-    [[nodiscard]] std::optional<PlannedHit> find_stale(const CacheKey& want);
-
     /// Inserts or refreshes `result` under `key`, evicting the shard's LRU
     /// entry when full. A refresh keeps any compiled plan already attached
     /// to the entry (the result is bit-identical for an equal key).

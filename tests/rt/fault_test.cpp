@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -147,7 +148,14 @@ TEST(FaultPipeline, ExhaustedRetryBudgetPropagatesTheFault)
 
 TEST(FaultPipeline, StalledReplicaIsFencedAndStreamContinues)
 {
-    auto seq = make_sequence(2);
+    // Task 2 sleeps, so both stage-1 replicas draw frames: with a trivial
+    // task one replica can take the whole stream, and the stall aimed at
+    // worker 1 never fires.
+    auto seq = make_sequence(1);
+    seq.push_back(make_task<Frame>("t2", false, [](Frame& f) {
+        std::this_thread::sleep_for(std::chrono::microseconds{50});
+        f.value += 2;
+    }));
     // Workers in stage-major order: 0 = source, 1 and 2 = stage-1 replicas.
     const Solution solution{{Stage{1, 1, 1, CoreType::big}, Stage{2, 2, 2, CoreType::little}}};
     FaultInjector injector;

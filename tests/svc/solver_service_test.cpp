@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -280,6 +282,70 @@ TEST(SolverService, SolvePlannedRecompilesOnDifferentPlanOptions)
     EXPECT_TRUE(other.result.cache_hit) << "the schedule itself is still cached";
     EXPECT_NE(other.plan.get(), narrow.plan.get());
     EXPECT_EQ(other.plan->options(), wide);
+}
+
+TEST(SolverService, StoppedServiceRejectsInsteadOfHanging)
+{
+    svc::SolverService service{{.workers = 2}};
+    service.stop();
+    EXPECT_TRUE(service.stopped());
+    const auto chain = make_chain({{10, 20, true}, {30, 60, true}, {5, 9, false}});
+    const core::ScheduleRequest request{chain, {2, 2}, core::Strategy::herad};
+    EXPECT_EQ(service.solve(request).error, core::ScheduleError::rejected);
+    EXPECT_EQ(service.solve_planned(request).result.error, core::ScheduleError::rejected);
+    const auto batch = service.solve_batch({request, request});
+    ASSERT_EQ(batch.size(), 2u);
+    for (const auto& result : batch)
+        EXPECT_EQ(result.error, core::ScheduleError::rejected);
+    service.stop(); // idempotent
+}
+
+// Submits racing stop() must resolve cleanly -- every result is ok or
+// rejected and no solve_batch caller is left on its condvar. Run under
+// TSan in CI (tsan-rt builds this target) to pin the data-race freedom of
+// the shutdown path, not just its liveness.
+TEST(SolverService, ShutdownChurnNeverHangsOrDropsResults)
+{
+    Rng rng{0xdead};
+    sim::GeneratorConfig config;
+    config.num_tasks = 60; // big enough that a solve is not instantaneous
+    std::vector<core::TaskChain> chains;
+    for (int i = 0; i < 4; ++i)
+        chains.push_back(sim::generate_chain(config, rng));
+    for (int round = 0; round < 12; ++round) {
+        svc::SolverService service{{
+            .workers = 2,
+            .cache_capacity = 0,
+            .queue_capacity = 4,
+        }};
+        std::atomic<bool> quit{false};
+        std::atomic<std::uint64_t> bad{0};
+        std::vector<std::thread> submitters;
+        for (int t = 0; t < 4; ++t) {
+            submitters.emplace_back([&, t] {
+                std::vector<core::ScheduleRequest> requests;
+                for (const auto& chain : chains)
+                    requests.push_back(core::ScheduleRequest{
+                        chain, {2 + t % 2, 2}, core::Strategy::herad});
+                while (!quit.load(std::memory_order_acquire)) {
+                    const auto results = service.solve_batch(requests);
+                    if (results.size() != requests.size()) {
+                        bad.fetch_add(1);
+                        continue;
+                    }
+                    for (const auto& result : results)
+                        if (!result.ok() && result.error != core::ScheduleError::rejected)
+                            bad.fetch_add(1);
+                }
+            });
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds{2 + round % 3});
+        service.stop(); // races in-flight submits by design
+        quit.store(true, std::memory_order_release);
+        for (auto& thread : submitters)
+            thread.join();
+        EXPECT_EQ(bad.load(), 0u) << "round " << round;
+    }
 }
 
 TEST(SharedService, IsASingleProcessWideInstance)
