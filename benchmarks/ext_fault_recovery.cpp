@@ -85,7 +85,6 @@ int main(int argc, char** argv)
     config.faults = &injector;
     config.max_task_retries = 2;
     config.heartbeat_timeout = milliseconds{100};
-    config.watchdog_poll = milliseconds{2};
 
     std::printf("== Extension: throughput across a permanent core loss ==\n");
     std::printf("chain: %d tasks x %d us, R = (%d, %d), kill at frame %llu of %llu\n",
@@ -195,7 +194,6 @@ int main(int argc, char** argv)
             rt::PipelineConfig path_config;
             path_config.faults = &path_injector;
             path_config.heartbeat_timeout = milliseconds{100};
-            path_config.watchdog_poll = milliseconds{2};
             const rt::RecoveryReport r = rt::run_with_recovery<Frame>(
                 path_sequence, path_rescheduler, frames, path_config);
             if (r.recoveries != 1 || !r.completed || r.frame_swaps != (frame_swap ? 1 : 0)

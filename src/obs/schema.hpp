@@ -58,17 +58,8 @@ inline constexpr const char* kRunFps = "amp_run_fps";
     return "amp_queue_wait_us{stage=\"" + std::to_string(stage) + "\"}";
 }
 
-// -- overload protection (docs/FAULT_MODEL.md, "Overload model") -----------
-
-/// Frames deliberately tombstoned by the pipeline's load shedder (a subset
-/// of amp_frames_dropped_total -- every shed is counted, never silent).
-inline constexpr const char* kFramesShed = "amp_frames_shed_total";
-/// rt::BrownoutController level (0 = normal, 1 = browned out).
-inline constexpr const char* kBrownoutLevel = "amp_brownout_level";
-inline constexpr const char* kBrownoutEntries = "amp_brownout_entries_total";
-
 /// Buffered envelopes in the stage's output queue (gauge, sampled by the
-/// pipeline's overload monitor).
+/// pipeline's monitor pass while a monitor hook is installed).
 [[nodiscard]] inline std::string queue_depth(int stage)
 {
     return "amp_queue_depth{stage=\"" + std::to_string(stage) + "\"}";

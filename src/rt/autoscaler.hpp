@@ -13,8 +13,8 @@
 //     warm-start solver (core::WarmStart -- a resize re-solve reuses the
 //     retained DP frontier) and handed to a caller-supplied land step.
 //   * Autoscaler<T> -- closes the loop on a live pipeline: samples the
-//     worst queue-depth fraction from the pipeline's overload monitor
-//     (Pipeline::set_monitor_hook, watchdog thread) and feeds it to a
+//     worst queue-depth fraction from the pipeline's monitor pass
+//     (Pipeline::set_monitor_hook, every watchdog tick) and feeds it to a
 //     ResizeStep whose land step is one Pipeline::retarget (mid-segment: a
 //     frame swap). An on_resize callback lets arb::Arbiter tenants return
 //     freed cores to the shared pool (Arbiter::set_quota).
@@ -276,9 +276,9 @@ struct AutoscalerConfig {
 };
 
 /// Closes the control loop on one live pipeline. Attach installs the
-/// monitor-hook sampler (requires PipelineConfig::overload.enabled);
-/// feed() is the deterministic entry point tests call directly with
-/// explicit timestamps.
+/// monitor-hook sampler (the installed hook starts the pipeline's watchdog
+/// on its own); feed() is the deterministic entry point tests call directly
+/// with explicit timestamps.
 template <typename T>
 class Autoscaler {
 public:
@@ -308,7 +308,7 @@ public:
                 "requires a linear (single-branch) plan"};
     }
 
-    /// Installs the utilization sampler on the pipeline's overload monitor.
+    /// Installs the utilization sampler as the pipeline's monitor hook.
     /// Call between runs only (monitor hooks install like loss handlers).
     void attach()
     {

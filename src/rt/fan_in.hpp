@@ -4,10 +4,10 @@
 //
 // Every input queue carries *every* sequence number exactly once -- as data,
 // as a tombstone, or (finally) as the end-of-stream marker; that invariant
-// is maintained by the pipeline's watchdog and shedder, which replace lost
-// or shed frames with tombstones in place. The gate therefore merges by
-// popping one envelope per input, asserting the sequence numbers agree, and
-// combining the payloads. Because each OrderedQueue already delivers in
+// is maintained by the pipeline's watchdog and scavengers, which publish a
+// tombstone for every frame lost to a fenced worker. The gate therefore
+// merges by popping one envelope per input, asserting the sequence numbers
+// agree, and combining the payloads. Because each OrderedQueue already delivers in
 // sequence order, the merged stream is in sequence order too, with zero
 // reordering and no buffering beyond one in-flight round.
 //

@@ -205,56 +205,6 @@ public:
         not_full_.notify_all();
     }
 
-    // -- overload protection (docs/FAULT_MODEL.md, "Overload model") ------
-
-    /// Arms high/low watermark backpressure: congested() latches true once
-    /// the buffer reaches `high` and releases only after it drains to
-    /// `low` or below (hysteresis, so the shedder does not flap around one
-    /// threshold). `high` == 0 disables; `low` is clamped below `high`.
-    /// Call before producers start (pipeline materialization).
-    void set_watermarks(std::size_t high, std::size_t low)
-    {
-        std::lock_guard lock{mutex_};
-        high_watermark_ = high;
-        low_watermark_ = high == 0 ? 0 : std::min(low, high - 1);
-        congested_ = false;
-    }
-
-    /// Current state of the watermark latch (always false when disabled).
-    [[nodiscard]] bool congested() const
-    {
-        std::lock_guard lock{mutex_};
-        if (high_watermark_ == 0)
-            return false;
-        if (!congested_ && buffer_.size() >= high_watermark_)
-            congested_ = true;
-        else if (congested_ && buffer_.size() <= low_watermark_)
-            congested_ = false;
-        return congested_;
-    }
-
-    /// Load shedding: converts up to `max_shed` of the *oldest* buffered
-    /// data envelopes into tombstones in place (payload released, dropped
-    /// flag set) -- the stream stays contiguous and the consumer still
-    /// delivers every sequence number, but the work behind the shed frames
-    /// is discarded so the queue drains at tombstone speed. End-of-stream
-    /// markers and existing tombstones are skipped (idempotent until new
-    /// data arrives). Returns the number of envelopes actually shed; the
-    /// caller owns counting them into metrics -- a shed is never silent.
-    std::size_t shed_oldest(std::size_t max_shed)
-    {
-        std::lock_guard lock{mutex_};
-        std::size_t shed = 0;
-        for (auto it = buffer_.begin(); it != buffer_.end() && shed < max_shed; ++it) {
-            Envelope<T>& envelope = it->second;
-            if (envelope.end || envelope.dropped)
-                continue;
-            envelope = Envelope<T>::tombstone(envelope.seq);
-            ++shed;
-        }
-        return shed;
-    }
-
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
     /// Number of buffered envelopes (for tests/metrics).
@@ -463,9 +413,6 @@ private:
     std::uint64_t next_seq_ = 0;
     bool closed_ = false;
     bool aborted_ = false;
-    std::size_t high_watermark_ = 0; ///< 0 = watermark backpressure disabled
-    std::size_t low_watermark_ = 0;
-    mutable bool congested_ = false; ///< hysteresis latch, updated in congested()
 
     // Consumer wait state (see the file comment).
     bool poller_ = false;      ///< a consumer holds the polling role

@@ -36,23 +36,25 @@
 //
 // Fault tolerance (docs/FAULT_MODEL.md): every worker maintains a heartbeat
 // that it refreshes whenever it makes progress or wakes from a bounded wait.
-// An optional watchdog thread (enabled by PipelineConfig::heartbeat_timeout)
-// fences workers whose heartbeat goes stale -- crashed or hung threads --
-// publishing a tombstone for the frame the worker held so downstream
-// consumers can advance, and, when a stage loses its last worker, initiating
-// a graceful drain: the source stops producing, a scavenger flushes the dead
-// stage's input in stream order (as tombstones), and the run returns a
-// degraded-but-ordered result instead of aborting. Transient task failures
-// are absorbed by a bounded retry with exponential backoff. A run that ends
-// early reports `stream_end`, the exact resume point for the next segment
-// (see rt/rescheduler.hpp).
+// A watchdog thread runs while a segment does when a heartbeat timeout is
+// set (PipelineConfig::heartbeat_timeout) or a monitor hook is installed
+// (set_monitor_hook). Every kWatchdogPoll it runs the monitor pass when a
+// hook is installed (the worst queue-depth fraction, handed to the hook)
+// and then, when a timeout is set, fences workers whose heartbeat went
+// stale -- crashed or hung threads -- publishing a tombstone for the frame
+// the worker held so downstream consumers can advance, and, when a stage
+// loses its last worker, initiating a graceful drain: the source stops
+// producing, a scavenger flushes the dead stage's input in stream order (as
+// tombstones), and the run returns a degraded-but-ordered result instead of
+// aborting. Transient task failures are absorbed by a bounded retry with
+// exponential backoff. A run that ends early reports `stream_end`, the exact
+// resume point for the next segment (see rt/rescheduler.hpp).
 
 #include "core/chain.hpp"
 #include "core/solution.hpp"
 #include "obs/schema.hpp"
 #include "obs/sink.hpp"
 #include "plan/execution_plan.hpp"
-#include "rt/brownout.hpp"
 #include "rt/core_emulator.hpp"
 #include "rt/fan_in.hpp"
 #include "rt/fault.hpp"
@@ -90,52 +92,25 @@ struct PipelineConfig {
     FaultInjector* faults = nullptr;
 
     /// Transient-failure policy: a task throw is retried up to
-    /// `max_task_retries` times per frame, sleeping retry_backoff *
-    /// retry_backoff_factor^attempt between attempts. The frame payload is
+    /// `max_task_retries` times per frame, sleeping 200 us before the first
+    /// retry and doubling the sleep per attempt. The frame payload is
     /// restored from a pre-attempt copy when T is copyable; otherwise tasks
     /// must tolerate re-execution on a partially-processed frame. Keep the
     /// worst-case total backoff below heartbeat_timeout, or the watchdog
     /// will fence the retrying worker.
     int max_task_retries = 0;
-    std::chrono::microseconds retry_backoff{200};
-    double retry_backoff_factor = 2.0;
 
     /// Watchdog: a worker whose heartbeat is older than heartbeat_timeout
-    /// is declared lost (fenced). Zero disables the watchdog (and with it,
+    /// is declared lost (fenced). Zero disables fencing (and with it,
     /// recovery from kill/stall faults). The timeout must exceed the
     /// worst-case per-frame latency of any stage, or healthy-but-slow
     /// workers get fenced.
     std::chrono::milliseconds heartbeat_timeout{0};
-    std::chrono::milliseconds watchdog_poll{2};
 
     /// Optional telemetry sink (docs/OBSERVABILITY.md): workers record task
     /// spans, queue waits, heartbeats, retries and tombstones into it.
     /// nullptr (or a disabled sink) costs one branch per event.
     obs::Sink* sink = nullptr;
-
-    /// Overload protection (docs/FAULT_MODEL.md, "Overload model"). When
-    /// enabled, the watchdog thread doubles as an overload monitor: it
-    /// samples every inter-stage queue's depth, feeds the worst fraction to
-    /// a BrownoutController, and -- while browned out -- sheds the oldest
-    /// buffered frames of congested non-final queues as tombstones (counted
-    /// in RunResult::frames_shed and amp_frames_shed_total, never silent).
-    /// Enabling overload protection alone (heartbeat_timeout == 0) starts
-    /// the monitor thread without worker fencing.
-    struct OverloadPolicy {
-        bool enabled = false;
-        /// Queue watermarks (envelopes). 0 derives them from the queue
-        /// capacity: high = 3/4 * capacity (at least 1), low = high / 2.
-        std::size_t high_watermark = 0;
-        std::size_t low_watermark = 0;
-        /// Enter/exit thresholds over the worst queue-depth fraction.
-        BrownoutPolicy brownout{};
-        /// Frames shed per congested queue per monitor pass while browned
-        /// out (small: the controller's patience gates sustained shedding).
-        std::size_t shed_batch = 2;
-        /// Monitor sampling period.
-        std::chrono::milliseconds poll{5};
-    };
-    OverloadPolicy overload{};
 };
 
 /// One fenced (permanently lost) worker.
@@ -153,11 +128,6 @@ struct RunResult {
     double elapsed_seconds = 0.0;
     std::uint64_t frames_dropped = 0; ///< tombstones (frames lost to failures)
     std::uint64_t retries = 0;        ///< transient faults absorbed by retry
-    /// Frames deliberately tombstoned by the load shedder -- a subset of
-    /// frames_dropped (every shed frame is also a dropped frame).
-    std::uint64_t frames_shed = 0;
-    /// Times the brownout controller entered brownout during this run.
-    std::uint64_t brownout_entries = 0;
     /// One past the last stream position this run accounted for (delivered
     /// or dropped). Equals the requested frame count on a full run; on a
     /// degraded early drain it is the exact `first_frame` to resume from.
@@ -200,14 +170,6 @@ public:
         for (const plan::PlanStage& stage : plan_->stages())
             stages_.push_back(core::Stage{stage.first, stage.last, stage.replicas, stage.type});
     }
-
-    /// Payload merge for fan-in stages: combines input `ordinal`'s popped
-    /// payload `from` into the accumulated payload `into` (input 0's copy).
-    /// When unset, `T::merge_from(const T&)` is used if the payload type
-    /// provides it; otherwise input 0 wins and the other copies are
-    /// discarded. Install before the first run.
-    using Merge = typename FanInGate<T>::Merge;
-    void set_merge(Merge merge) { merge_ = std::move(merge); }
 
     Pipeline(const Pipeline&) = delete;
     Pipeline& operator=(const Pipeline&) = delete;
@@ -264,8 +226,6 @@ public:
         st.first_error = nullptr;
         st.losses.clear();
         st.failure_seconds = -1.0;
-        st.frames_shed.store(0);
-        st.brownout = BrownoutController{config_.overload.brownout};
         st.beat_interval = config_.heartbeat_timeout.count() > 0
             ? std::max<std::chrono::milliseconds>(std::chrono::milliseconds{1},
                                                   config_.heartbeat_timeout / 4)
@@ -317,7 +277,7 @@ public:
         swap_lock.unlock();
 
         std::thread watchdog;
-        if (config_.heartbeat_timeout.count() > 0 || config_.overload.enabled)
+        if (config_.heartbeat_timeout.count() > 0 || monitor_hook_)
             watchdog = std::thread{[this, &st] { watchdog_loop(st); }};
 
         // Drain the final queue in order on this thread. Tombstones are
@@ -382,8 +342,6 @@ public:
         result.elapsed_seconds = std::chrono::duration<double>(stop - start).count();
         result.frames_dropped = dropped;
         result.retries = st.retries.load();
-        result.frames_shed = st.frames_shed.load();
-        result.brownout_entries = st.brownout.entries();
         result.stream_end = end_seen ? end_seq : first_frame + delivered + dropped;
         {
             std::lock_guard lock{st.loss_mutex};
@@ -453,13 +411,13 @@ public:
     using LossHandler = std::function<bool(const WorkerLoss&)>;
     void set_loss_handler(LossHandler handler) { loss_handler_ = std::move(handler); }
 
-    /// Invoked on the watchdog thread once per overload-monitor pass with
-    /// the worst inter-stage queue depth as a fraction of queue capacity
-    /// (uncapped: > 1.0 when force-pushed frames exceed the nominal
-    /// capacity). Requires PipelineConfig::overload.enabled -- that is what
-    /// runs the monitor; the brownout watermarks may stay at their
-    /// defaults. rt::Autoscaler samples its utilization signal here.
-    /// Install between runs only, like the loss handler.
+    /// Invoked on the watchdog thread once per monitor pass (every
+    /// kWatchdogPoll) with the worst queue depth as a fraction of that
+    /// queue's capacity (uncapped: > 1.0 when force-pushed frames exceed
+    /// the nominal capacity). An installed hook is what starts the
+    /// watchdog on a run without a heartbeat timeout. rt::Autoscaler
+    /// samples its utilization signal here. Install between runs only,
+    /// like the loss handler.
     using MonitorHook = std::function<void(double)>;
     void set_monitor_hook(MonitorHook hook) { monitor_hook_ = std::move(hook); }
 
@@ -487,6 +445,10 @@ public:
 
 private:
     static constexpr std::uint64_t kNoFrame = WorkerLoss::kNoFrame;
+    /// The watchdog's tick: one monitor pass and one fence scan per tick.
+    static constexpr std::chrono::milliseconds kWatchdogPoll{2};
+    /// Sleep before a task's first retry; it doubles with every attempt.
+    static constexpr std::chrono::microseconds kRetryBackoff{200};
 
     /// A stage's queue endpoints, resolved once at materialize (the queue
     /// topology is immutable for the pipeline's lifetime -- resize-only
@@ -541,10 +503,7 @@ private:
         obs::Counter* retries = nullptr;
         obs::Counter* heartbeats = nullptr;
         obs::Counter* fenced = nullptr;
-        obs::Counter* frames_shed = nullptr;     ///< overload monitor only
-        obs::Counter* brownout_entries = nullptr;
-        obs::Gauge* brownout_level = nullptr;
-        std::vector<obs::Gauge*> queue_depth; ///< per stage, sampled
+        std::vector<obs::Gauge*> queue_depth; ///< per queue, monitor pass only
         std::vector<std::uint32_t> span_names; ///< per stage, interned
         std::uint32_t retry_name = 0;
         std::uint32_t tombstone_name = 0;
@@ -559,9 +518,6 @@ private:
         std::vector<std::atomic<int>> live_in_stage;
         std::atomic<std::uint64_t> next_frame{0};
         std::atomic<std::uint64_t> retries{0};
-        std::atomic<std::uint64_t> frames_shed{0};
-        /// Overload state; touched only by the watchdog/monitor thread.
-        BrownoutController brownout;
         std::atomic<bool> stop_source{false};
         std::atomic<bool> end_pushed{false};
         std::atomic<bool> over{false}; ///< segment finished (drain + park done)
@@ -683,17 +639,6 @@ private:
         for (const plan::QueueSpec& spec : specs)
             queues_.push_back(
                 std::make_unique<OrderedQueue<T>>(spec.capacity, config_.first_frame));
-        if (config_.overload.enabled) {
-            const std::size_t cap = std::max<std::size_t>(1, plan_->options().queue_capacity);
-            std::size_t high = config_.overload.high_watermark;
-            if (high == 0 || high > cap)
-                high = std::max<std::size_t>(1, cap * 3 / 4);
-            std::size_t low = config_.overload.low_watermark;
-            if (low == 0 || low >= high)
-                low = high / 2;
-            for (auto& queue : queues_)
-                queue->set_watermarks(high, low);
-        }
 
         // Queue wiring follows the plan's DAG: each stage reads its
         // in_queues (fan-in stages behind a merge gate) and writes every
@@ -973,10 +918,7 @@ private:
                 ob.stage_latency.push_back(&m.histogram(obs::schema::stage_latency(stage_index)));
                 ob.queue_wait.push_back(&m.histogram(obs::schema::queue_wait(stage_index)));
             }
-            if (config_.overload.enabled) {
-                ob.frames_shed = &m.counter(obs::schema::kFramesShed);
-                ob.brownout_entries = &m.counter(obs::schema::kBrownoutEntries);
-                ob.brownout_level = &m.gauge(obs::schema::kBrownoutLevel);
+            if (monitor_hook_) {
                 // One gauge per queue (DAG plans have more queues than
                 // stages); for linear plans queue index == stage index.
                 for (std::size_t q = 0; q < queues_.size(); ++q)
@@ -1119,8 +1061,7 @@ private:
                 if constexpr (restorable)
                     envelope.payload = backup;
                 const auto backoff = std::chrono::microseconds{static_cast<std::int64_t>(
-                    static_cast<double>(config_.retry_backoff.count())
-                    * std::pow(config_.retry_backoff_factor, attempt))};
+                    static_cast<double>(kRetryBackoff.count()) * std::pow(2.0, attempt))};
                 beat(st, me);
                 std::this_thread::sleep_for(backoff);
                 beat(st, me);
@@ -1132,8 +1073,8 @@ private:
     /// stays visibly alive. Returns false only when the queue is closed
     /// (aborted teardown): the worker should stop its segment. A stale
     /// outcome -- just this frame obsolete, e.g. already delivered as a
-    /// tombstone by the watchdog or the load shedder -- consumes the
-    /// envelope and returns true so the worker moves on to the next frame.
+    /// tombstone by the watchdog -- consumes the envelope and returns true
+    /// so the worker moves on to the next frame.
     bool push_with_beat(SegmentState& st, Worker& me, OrderedQueue<T>& out,
                         Envelope<T> envelope)
     {
@@ -1172,12 +1113,10 @@ private:
         return alive;
     }
 
-    /// The configured fan-in payload merge, or the default: use
-    /// T::merge_from when the payload provides it, else input 0 wins.
-    [[nodiscard]] Merge merge_fn() const
+    /// The fan-in payload merge: T::merge_from when the payload provides
+    /// it, else input 0 wins and the other copies are discarded.
+    [[nodiscard]] static typename FanInGate<T>::Merge merge_fn()
     {
-        if (merge_)
-            return merge_;
         return [](T& into, T& from, int) {
             if constexpr (requires(T& a, T& b) { a.merge_from(b); })
                 into.merge_from(from);
@@ -1321,23 +1260,13 @@ private:
         const auto timeout_ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(config_.heartbeat_timeout)
                 .count();
-        const bool fencing = timeout_ns > 0; // overload-only runs never fence
-        const auto poll = fencing ? config_.watchdog_poll
-                                  : std::max(config_.overload.poll, std::chrono::milliseconds{1});
-        auto next_overload_sample = std::chrono::steady_clock::now();
         std::vector<Worker*> stale;
         while (!st.over.load()) {
-            std::this_thread::sleep_for(poll);
-            if (config_.overload.enabled) {
-                const auto now = std::chrono::steady_clock::now();
-                if (now >= next_overload_sample) {
-                    overload_poll(st);
-                    next_overload_sample =
-                        now + std::max(config_.overload.poll, std::chrono::milliseconds{1});
-                }
-            }
-            if (!fencing)
-                continue;
+            std::this_thread::sleep_for(kWatchdogPoll);
+            if (monitor_hook_)
+                monitor_pass(st);
+            if (timeout_ns == 0)
+                continue; // a monitor-only run never fences
             const std::int64_t now = now_ns();
             // Scan under workers_mutex_ (an in-flight retarget may be
             // growing the vector), but fence outside it: the loss handler
@@ -1359,50 +1288,22 @@ private:
         }
     }
 
-    /// One overload-monitor pass, on the watchdog thread: sample queue
-    /// depths, feed the worst fraction to the brownout controller, and --
-    /// while browned out -- shed the oldest frames of congested non-final
-    /// queues. The final queue is never shed: its frames are finished work
-    /// the drain is about to deliver. queues_ is sized once at materialize,
-    /// so iterating it here without a lock is safe; each queue's own mutex
-    /// guards its contents.
-    void overload_poll(SegmentState& st)
+    /// One monitor pass, on the watchdog thread: samples every queue's
+    /// depth as a fraction of that queue's capacity and hands the worst to
+    /// the monitor hook. queues_ is sized once at materialize and a
+    /// retarget never changes the queue topology, so iterating it here
+    /// without a lock is safe; each queue's own mutex guards its contents.
+    void monitor_pass(SegmentState& st)
     {
-        // One plan snapshot per pass: a concurrent retarget may publish a
-        // successor (it never changes the queue topology or capacity).
-        const std::shared_ptr<const plan::ExecutionPlan> plan = execution_plan();
-        const double cap =
-            static_cast<double>(std::max<std::size_t>(1, plan->options().queue_capacity));
         double worst = 0.0;
-        for (std::size_t s = 0; s < queues_.size(); ++s) {
-            const std::size_t depth = queues_[s]->buffered();
-            worst = std::max(worst, static_cast<double>(depth) / cap);
+        for (std::size_t q = 0; q < queues_.size(); ++q) {
+            const std::size_t depth = queues_[q]->buffered();
+            worst = std::max(worst, static_cast<double>(depth)
+                                        / static_cast<double>(queues_[q]->capacity()));
             if (!st.obs.queue_depth.empty())
-                st.obs.queue_depth[s]->set(static_cast<double>(depth));
+                st.obs.queue_depth[q]->set(static_cast<double>(depth));
         }
-        if (monitor_hook_)
-            monitor_hook_(worst);
-        const bool was = st.brownout.browned_out();
-        const bool browned = st.brownout.feed(std::min(1.0, worst));
-        if (st.obs.brownout_level != nullptr)
-            st.obs.brownout_level->set(browned ? 1.0 : 0.0);
-        if (browned && !was && st.obs.brownout_entries != nullptr)
-            st.obs.brownout_entries->inc(0);
-        if (!browned)
-            return;
-        const auto& specs = plan->queues();
-        for (std::size_t s = 0; s < queues_.size(); ++s) {
-            if (specs[s].consumer_stage == plan::QueueSpec::kDrain)
-                continue; // finished work the drain is about to deliver
-            if (!queues_[s]->congested())
-                continue;
-            const std::size_t shed = queues_[s]->shed_oldest(config_.overload.shed_batch);
-            if (shed == 0)
-                continue;
-            st.frames_shed.fetch_add(shed);
-            if (st.obs.frames_shed != nullptr)
-                st.obs.frames_shed->add(0, shed); // a shed is never silent
-        }
+        monitor_hook_(worst);
     }
 
     /// Declares a worker permanently lost: records the loss, tombstones the
@@ -1519,7 +1420,6 @@ private:
     /// swap_mutex_ and plan_mutex_; read under either.
     std::shared_ptr<const plan::ExecutionPlan> plan_;
     PipelineConfig config_;
-    Merge merge_; ///< fan-in payload merge (set_merge); null = default
 
     std::vector<core::Stage> stages_; ///< runtime stage specs (follow plan_)
     std::vector<std::unique_ptr<OrderedQueue<T>>> queues_;

@@ -289,8 +289,6 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Rescheduler& resched
         report.total.frames += result.frames;
         report.total.frames_dropped += result.frames_dropped;
         report.total.retries += result.retries;
-        report.total.frames_shed += result.frames_shed;
-        report.total.brownout_entries += result.brownout_entries;
         report.total.stream_end = result.stream_end;
         for (const WorkerLoss& loss : result.losses)
             report.total.losses.push_back(loss);

@@ -192,14 +192,10 @@ TEST(Autoscaler, MonitorHookSamplesUtilizationFromTheWatchdog)
     auto seq = make_sequence(5, /*sleep_us=*/100);
     svc::SolverService service{svc::ServiceConfig{}};
 
-    rt::PipelineConfig pipeline_config;
-    pipeline_config.overload.enabled = true; // runs the monitor hook
-    pipeline_config.overload.poll = milliseconds{2};
-    // The monitor feeds the brownout controller at most 1.0, so it never
-    // enters brownout and never sheds: every frame is delivered however
-    // loaded the machine is.
-    pipeline_config.overload.brownout.enter_pressure = 2.0;
-    rt::Pipeline<Frame> pipeline{seq, *plan_for(service, chain, {0, 3}).plan, pipeline_config};
+    // A default config: the installed hook alone starts the watchdog's
+    // monitor pass.
+    rt::Pipeline<Frame> pipeline{seq, *plan_for(service, chain, {0, 3}).plan,
+                                 rt::PipelineConfig{}};
 
     rt::AutoscalerConfig config;
     config.policy = live_policy();

@@ -203,9 +203,6 @@ TEST(PipelineRetarget, MonitorHookDuringTeardownTakesTheLivePath)
     const plan::ExecutionPlan grown = two_stage(chain, 1, CoreType::big, 3);
     auto seq = make_sequence();
     rt::PipelineConfig config;
-    config.overload.enabled = true; // runs the monitor hook
-    config.overload.poll = std::chrono::milliseconds{1};
-    config.overload.shed_batch = 0; // sample only: delivery must not depend on load
     rt::Pipeline<Frame> pipeline{seq, two_stage(chain, 1, CoreType::big, 2), config};
 
     std::mutex mutex;

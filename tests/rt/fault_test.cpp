@@ -1,9 +1,12 @@
 #include "rt/fault.hpp"
 
+#include "obs/schema.hpp"
+#include "obs/sink.hpp"
 #include "rt/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -113,7 +116,6 @@ TEST(FaultPipeline, TransientFaultRetriedWithZeroFrameLoss)
     PipelineConfig config;
     config.faults = &injector;
     config.max_task_retries = 3;
-    config.retry_backoff = std::chrono::microseconds{50};
 
     Pipeline<Frame> pipeline{seq, solution, config};
     std::vector<Frame> outputs;
@@ -141,23 +143,30 @@ TEST(FaultPipeline, ExhaustedRetryBudgetPropagatesTheFault)
     PipelineConfig config;
     config.faults = &injector;
     config.max_task_retries = 1;
-    config.retry_backoff = std::chrono::microseconds{50};
     Pipeline<Frame> pipeline{seq, Solution{{Stage{1, 2, 1, CoreType::big}}}, config};
     EXPECT_THROW((void)pipeline.run(20), TransientTaskFault);
 }
 
-TEST(FaultPipeline, StalledReplicaIsFencedAndStreamContinues)
+/// Two tasks for a replicated stage 1. Task 2 sleeps, so both stage-1
+/// replicas draw frames: with a trivial task one replica can take the
+/// whole stream, and a stall aimed at worker 1 never fires.
+TaskSequence<Frame> make_replica_sequence()
 {
-    // Task 2 sleeps, so both stage-1 replicas draw frames: with a trivial
-    // task one replica can take the whole stream, and the stall aimed at
-    // worker 1 never fires.
     auto seq = make_sequence(1);
     seq.push_back(make_task<Frame>("t2", false, [](Frame& f) {
         std::this_thread::sleep_for(std::chrono::microseconds{50});
         f.value += 2;
     }));
-    // Workers in stage-major order: 0 = source, 1 and 2 = stage-1 replicas.
-    const Solution solution{{Stage{1, 1, 1, CoreType::big}, Stage{2, 2, 2, CoreType::little}}};
+    return seq;
+}
+
+/// Workers in stage-major order: 0 = source, 1 and 2 = stage-1 replicas.
+const Solution kReplicatedStage1{
+    {Stage{1, 1, 1, CoreType::big}, Stage{2, 2, 2, CoreType::little}}};
+
+TEST(FaultPipeline, StalledReplicaIsFencedAndStreamContinues)
+{
+    auto seq = make_replica_sequence();
     FaultInjector injector;
     injector.add(FaultSpec{FaultKind::stall, 5, 0, 1, 1, milliseconds{800}});
 
@@ -165,7 +174,7 @@ TEST(FaultPipeline, StalledReplicaIsFencedAndStreamContinues)
     config.faults = &injector;
     config.heartbeat_timeout = milliseconds{150};
 
-    Pipeline<Frame> pipeline{seq, solution, config};
+    Pipeline<Frame> pipeline{seq, kReplicatedStage1, config};
     const auto result = pipeline.run(60);
 
     ASSERT_TRUE(result.degraded());
@@ -178,6 +187,49 @@ TEST(FaultPipeline, StalledReplicaIsFencedAndStreamContinues)
     EXPECT_EQ(result.frames + result.frames_dropped, 60u)
         << "the surviving replica carries the stream to the end";
     EXPECT_EQ(result.stream_end, 60u);
+}
+
+// The monitor pass and the fence scan share the watchdog's tick: an
+// installed hook keeps sampling while a replica stalls, across its fence,
+// and the pass exports each queue's depth when metrics are on.
+TEST(FaultPipeline, MonitorHookKeepsSamplingAcrossAFence)
+{
+    using Clock = std::chrono::steady_clock;
+    constexpr std::uint64_t kFrames = 3000;
+    auto seq = make_replica_sequence();
+    FaultInjector injector;
+    injector.add(FaultSpec{FaultKind::stall, 5, 0, 1, 1, milliseconds{800}});
+    amp::obs::Sink sink{amp::obs::SinkConfig{true, false, 1, 8}};
+
+    PipelineConfig config;
+    config.faults = &injector;
+    config.heartbeat_timeout = milliseconds{150};
+    config.sink = &sink;
+
+    Pipeline<Frame> pipeline{seq, kReplicatedStage1, config};
+    std::vector<Clock::time_point> calls; // written by the watchdog, read after run()
+    pipeline.set_monitor_hook([&](double) { calls.push_back(Clock::now()); });
+    const Clock::time_point before_run = Clock::now();
+    const auto result = pipeline.run(kFrames);
+
+    ASSERT_EQ(result.losses.size(), 1u);
+    EXPECT_EQ(result.frames + result.frames_dropped, kFrames);
+    // failure_seconds counts from the segment start, which lies between
+    // before_run and the first call (the watchdog starts after it), so both
+    // bounds err toward failing.
+    ASSERT_FALSE(calls.empty());
+    const auto failure = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(result.failure_seconds));
+    EXPECT_TRUE(std::any_of(calls.begin(), calls.end(),
+                            [&](Clock::time_point t) { return t < before_run + failure; }))
+        << "no monitor pass before the fence";
+    EXPECT_TRUE(std::any_of(calls.begin(), calls.end(),
+                            [&](Clock::time_point t) { return t > calls.front() + failure; }))
+        << "no monitor pass after the fence";
+    EXPECT_NE(sink.render_prometheus().find("amp_queue_depth"), std::string::npos);
+    EXPECT_EQ(sink.metrics().counter(amp::obs::schema::kFramesDropped).value(),
+              result.frames_dropped)
+        << "every tombstone is counted";
 }
 
 TEST(FaultPipeline, KilledSoleWorkerTriggersGracefulDrain)

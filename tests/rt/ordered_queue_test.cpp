@@ -223,6 +223,24 @@ TEST(OrderedQueue, StalePushIsDroppedAsStale)
     EXPECT_EQ(queue.buffered(), 0u);
 }
 
+TEST(OrderedQueue, ClosedAndStaleAreDistinguishable)
+{
+    OrderedQueue<int> queue{4};
+    queue.push(Envelope<int>::data(0, 0));
+    ASSERT_TRUE(queue.pop().has_value());
+
+    // Same producer mistake, two different answers: a stale frame means
+    // "drop this one, keep producing", an aborted queue means "park".
+    auto stale = Envelope<int>::data(0, 1);
+    EXPECT_EQ(queue.try_push_for(stale, std::chrono::milliseconds{1}),
+              OrderedQueue<int>::PushOutcome::stale);
+
+    queue.abort();
+    auto next = Envelope<int>::data(1, 2);
+    EXPECT_EQ(queue.try_push_for(next, std::chrono::milliseconds{1}),
+              OrderedQueue<int>::PushOutcome::closed);
+}
+
 TEST(OrderedQueue, ForcePushBypassesCapacityToFillHoles)
 {
     // Regression: the watchdog's tombstone for a fenced worker must land
