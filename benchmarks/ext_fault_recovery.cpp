@@ -27,7 +27,6 @@
 #include "common/argparse.hpp"
 #include "common/table.hpp"
 #include "core/scheduler.hpp"
-#include "dsim/simulator.hpp"
 #include "rt/fault.hpp"
 #include "rt/rescheduler.hpp"
 #include "support/bench_json.hpp"
@@ -92,7 +91,7 @@ int main(int argc, char** argv)
                 static_cast<unsigned long long>(kill_at),
                 static_cast<unsigned long long>(frames));
     std::printf("healthy schedule: %s (model period %.0f us)\n\n",
-                healthy.decomposition().c_str(), dsim::expected_period_us(chain, healthy));
+                healthy.decomposition().c_str(), healthy.period(chain));
 
     std::vector<double> stamps; // output delivery times, seconds since start
     stamps.reserve(static_cast<std::size_t>(frames));
@@ -141,7 +140,7 @@ int main(int argc, char** argv)
                 static_cast<unsigned long long>(frames));
     std::printf("degraded schedule: %s on R = (%d, %d) (model period %.0f us)\n",
                 degraded.decomposition().c_str(), rescheduler.resources().big,
-                rescheduler.resources().little, dsim::expected_period_us(chain, degraded));
+                rescheduler.resources().little, degraded.period(chain));
     std::printf("\nThe after-loss fps should track the degraded model period. Windows split\n"
                 "at detection: the silent dead-time before the watchdog fences the worker\n"
                 "(up to the %lld ms heartbeat timeout) drags down the before-loss fps.\n",
@@ -285,8 +284,8 @@ int main(int argc, char** argv)
         json_report.param("recoveries", static_cast<std::int64_t>(report.recoveries))
             .param("recovery_latency_s", report.recovery_latency_seconds)
             .param("frames_dropped", report.total.frames_dropped)
-            .param("healthy_period_us", dsim::expected_period_us(chain, healthy))
-            .param("degraded_period_us", dsim::expected_period_us(chain, degraded))
+            .param("healthy_period_us", healthy.period(chain))
+            .param("degraded_period_us", degraded.period(chain))
             .param("healthy_schedule", healthy.decomposition())
             .param("degraded_schedule", degraded.decomposition());
         if (!json_report.write_file(json_path)) {

@@ -209,39 +209,10 @@ void recompute_cell(int j, Matrix& S, const TaskChain& chain, int b, int l,
             best = compare_cells(best, cand);
         };
 
-        const auto sweep = [&](CoreType type, int max_u) {
-            if (max_u < 1)
-                return;
-            if (!options.fast_u_search || !replicable || max_u <= 4) {
-                for (int u = 1; u <= max_u; ++u)
-                    consider(type, u);
-                return;
-            }
-            // The predecessor period g(u) is non-decreasing in u (fewer
-            // cores remain) and the stage weight h(u) is decreasing, so
-            // min_u max(g, h) sits at the crossing: binary search for the
-            // smallest u with g(u) >= h(u) and examine its two neighbors.
-            const auto g = [&](int u) {
-                return type == CoreType::big ? S.at(i - 1, b - u, l).pbest
-                                             : S.at(i - 1, b, l - u).pbest;
-            };
-            const auto h = [&](int u) { return chain.stage_weight(i, j, u, type); };
-            int lo = 1;
-            int hi = max_u + 1; // first u satisfying g >= h, or max_u + 1
-            while (lo < hi) {
-                const int mid = lo + (hi - lo) / 2;
-                if (g(mid) >= h(mid))
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            consider(type, std::min(lo, max_u));
-            if (lo - 1 >= 1)
-                consider(type, lo - 1);
-        };
-
-        sweep(CoreType::big, replicable ? b : std::min(b, 1));
-        sweep(CoreType::little, replicable ? l : std::min(l, 1));
+        for (int u = 1; u <= (replicable ? b : std::min(b, 1)); ++u)
+            consider(CoreType::big, u);
+        for (int u = 1; u <= (replicable ? l : std::min(l, 1)); ++u)
+            consider(CoreType::little, u);
     }
 
     S.at(j, b, l) = best;
@@ -318,7 +289,6 @@ struct HeradFrontier::Impl {
     std::uint64_t fingerprint = 0;
     std::uint64_t fingerprint2 = 0;
     bool prune = true;
-    bool fast_u_search = false;
 };
 
 HeradFrontier::HeradFrontier() = default;
@@ -334,8 +304,7 @@ Resources HeradFrontier::computed() const noexcept
 bool HeradFrontier::matches(const TaskChain& chain, const HeradOptions& options) const noexcept
 {
     return impl_->matrix.tasks() == chain.size() && impl_->fingerprint == chain.fingerprint()
-           && impl_->fingerprint2 == chain.fingerprint2() && impl_->prune == options.prune
-           && impl_->fast_u_search == options.fast_u_search;
+           && impl_->fingerprint2 == chain.fingerprint2() && impl_->prune == options.prune;
 }
 
 std::size_t HeradFrontier::bytes() const noexcept { return impl_->matrix.bytes(); }
@@ -348,8 +317,7 @@ struct HeradFrontierAccess {
     {
         auto frontier = std::shared_ptr<HeradFrontier>(new HeradFrontier());
         frontier->impl_ = std::make_unique<HeradFrontier::Impl>(HeradFrontier::Impl{
-            std::move(matrix), chain.fingerprint(), chain.fingerprint2(), options.prune,
-            options.fast_u_search});
+            std::move(matrix), chain.fingerprint(), chain.fingerprint2(), options.prune});
         return frontier;
     }
 

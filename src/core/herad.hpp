@@ -35,12 +35,6 @@ struct HeradOptions {
     bool merge_stages = true;
     /// Enable the lower-bound break described above (sound; on by default).
     bool prune = true;
-    /// Binary-search the core-count loop of Eq. (4): the predecessor period
-    /// is non-decreasing and the stage weight non-increasing in u, so the
-    /// minimum of their max lies at the crossing. Exact for the period;
-    /// may pick a different (period-equal) tie than the exhaustive loop,
-    /// so it is off by default and used by the large timing benches.
-    bool fast_u_search = false;
 };
 
 /// Retained DP frontier of a previous HeRAD solve: the full matrix
@@ -60,9 +54,8 @@ public:
     /// True when the frontier can answer solves of `chain` under `options`
     /// bit-identically to a cold solve: same chain content (both
     /// fingerprints and the task count) and the same recurrence-affecting
-    /// options. fast_u_search changes period-equal tie picks and prune is
-    /// matched conservatively; merge_stages is a post-extraction pass and
-    /// may differ freely.
+    /// options. prune is matched conservatively; merge_stages is a
+    /// post-extraction pass and may differ freely.
     [[nodiscard]] bool matches(const TaskChain& chain, const HeradOptions& options) const noexcept;
     /// Approximate heap footprint of the retained matrix; callers caching
     /// results should strip frontiers (svc::SolverService does).

@@ -108,7 +108,7 @@ enum class Objective : std::uint8_t { min_period = 0, min_energy_under_period = 
 
 /// Strategy knobs, unified across all five strategies. Strategies ignore
 /// the fields that do not apply to them (FERTAC reads only `preference`,
-/// HeRAD only the other three, OTAC/2CATAC none), so one options value can
+/// HeRAD only the other two, OTAC/2CATAC none), so one options value can
 /// drive a whole request grid. The objective block at the bottom applies to
 /// every strategy: with min_energy_under_period, `target_period` must be
 /// strictly positive (invalid_request otherwise) and `power` parameterizes
@@ -118,9 +118,6 @@ struct ScheduleOptions {
     bool merge_stages = true;
     /// HeRAD: sound lower-bound break on the stage-start loop.
     bool prune = true;
-    /// HeRAD: binary-search the core-count loop of Eq. (4); period-exact but
-    /// may pick a different period-equal tie than the exhaustive loop.
-    bool fast_u_search = false;
     /// FERTAC: which core type each stage is offered first.
     FertacPreference preference = FertacPreference::little_first;
 
@@ -138,7 +135,7 @@ struct ScheduleOptions {
     /// The HeRAD view of these options.
     [[nodiscard]] constexpr HeradOptions herad() const noexcept
     {
-        return {.merge_stages = merge_stages, .prune = prune, .fast_u_search = fast_u_search};
+        return {.merge_stages = merge_stages, .prune = prune};
     }
 
     /// Dense encoding of the boolean/enum options for cache keys
@@ -151,7 +148,7 @@ struct ScheduleOptions {
     [[nodiscard]] constexpr std::uint16_t key_bits() const noexcept
     {
         return static_cast<std::uint16_t>(
-            (merge_stages ? 1u : 0u) | (prune ? 2u : 0u) | (fast_u_search ? 4u : 0u)
+            (merge_stages ? 1u : 0u) | (prune ? 2u : 0u)
             | (preference == FertacPreference::big_first ? 8u : 0u)
             | (objective == Objective::min_energy_under_period ? 16u : 0u));
     }

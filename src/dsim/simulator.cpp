@@ -1,6 +1,7 @@
 #include "dsim/simulator.hpp"
 
 #include "obs/schema.hpp"
+#include "rt/rescheduler.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -110,7 +111,9 @@ struct ObsEpoch {
 struct StageModel {
     std::vector<double> base_service;
     std::vector<double> penalty;
-    std::vector<std::vector<double>> last_departures; ///< ring per stage
+    std::vector<std::vector<double>> server_free; ///< ring per stage
+    std::vector<double> depart;                   ///< current frame, per stage
+    std::vector<double> busy;                     ///< summed service per stage
 
     StageModel(const plan::ExecutionPlan& plan, const OverheadModel& overhead, double ready_at)
     {
@@ -118,7 +121,9 @@ struct StageModel {
         const std::size_t k = stages.size();
         base_service.resize(k);
         penalty.resize(k);
-        last_departures.resize(k);
+        server_free.resize(k);
+        depart.assign(k, 0.0);
+        busy.assign(k, 0.0);
         for (std::size_t i = 0; i < k; ++i) {
             const plan::PlanStage& st = stages[i];
             base_service[i] = st.service_us;
@@ -128,17 +133,12 @@ struct StageModel {
                 if (st.type == core::CoreType::little)
                     penalty[i] += overhead.little_replication_penalty;
             }
-            last_departures[i].assign(static_cast<std::size_t>(st.replicas), ready_at);
+            server_free[i].assign(static_cast<std::size_t>(st.replicas), ready_at);
         }
     }
 };
 
 } // namespace
-
-double expected_period_us(const core::TaskChain& chain, const core::Solution& solution)
-{
-    return solution.period(chain);
-}
 
 SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfig& config)
 {
@@ -147,72 +147,140 @@ SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfi
             "simulate: plan has no task-weight profile (compile it from a TaskChain)"};
     if (config.frames <= config.warmup_frames)
         throw std::invalid_argument{"simulate: frames must exceed warmup_frames"};
+    const FailureModel& faults = config.faults;
+    if (!faults.failures.empty()) {
+        if (!plan.linear())
+            throw std::invalid_argument{"simulate: core losses replay on linear plans only"};
+        const core::Resources used = plan.solution().used();
+        if (faults.budget.big < used.big || faults.budget.little < used.little)
+            throw std::invalid_argument{"simulate: faults.budget is below the plan's used cores"};
+    }
 
-    const auto& stages = plan.stages();
-    const std::size_t k = stages.size();
+    std::vector<SimFailure> pending = faults.failures;
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const SimFailure& a, const SimFailure& b) { return a.frame < b.frame; });
+    // The rescheduler mirrors the runtime's recovery decisions: same chain,
+    // same degraded resource vector, same warm HeRAD re-solve.
+    std::optional<rt::Rescheduler> rescheduler;
+    if (!pending.empty())
+        rescheduler.emplace(plan.chain(), faults.budget);
 
+    const plan::ExecutionPlan* current = &plan;
+    std::optional<plan::ExecutionPlan> replanned; // owns *current after a loss
     StageModel model{plan, config.overhead, 0.0};
-
-    Rng rng{config.overhead.seed};
-    const double sigma =
-        config.overhead.jitter_cv > 0.0
-            ? std::sqrt(std::log(1.0 + config.overhead.jitter_cv * config.overhead.jitter_cv))
-            : 0.0;
-    const double mu = -0.5 * sigma * sigma; // unit-mean lognormal
-
     ObsEpoch obs{config.sink, plan};
 
-    std::vector<double> busy(k, 0.0);
-    std::vector<double> service_sum(k, 0.0);
+    Rng rng{config.overhead.seed};
+    const double cv = config.overhead.jitter_cv;
+    const double sigma = cv > 0.0 ? std::sqrt(std::log(1.0 + cv * cv)) : 0.0;
+    const double mu = -0.5 * sigma * sigma; // unit-mean lognormal
 
+    SimulationResult result;
+    std::size_t next_failure = 0;
+    std::uint64_t departed = 0;
     double window_start = 0.0; // departure time of the last warmup frame
     double final_departure = 0.0;
 
-    // Per-frame departure times, indexed by stage. Stages are branch-major
-    // and plan edges point forward, so every predecessor's departure is
-    // already computed when a stage is visited; a fan-in stage starts once
-    // the *latest* predecessor copy of the frame has crossed its adaptor
-    // (the runtime's merge gate pops one envelope per input). Linear plans
-    // reduce to the classic single-chain recurrence, value for value.
-    std::vector<double> depart(k, 0.0);
-    for (std::uint64_t f = 0; f < config.frames; ++f) {
-        for (std::size_t i = 0; i < k; ++i) {
+    for (std::uint64_t f = 0; f < config.frames && result.schedulable; ++f) {
+        if (next_failure < pending.size() && pending[next_failure].frame <= f) {
+            // Every loss due by frame f; the frame in service on the lost
+            // core is dropped.
+            do {
+                const SimFailure& event = pending[next_failure++];
+                RecoveryRecord record;
+                record.frame = f;
+                record.stage = std::min(event.stage, current->stage_count() - 1);
+                record.lost_type = current->stage(record.stage).type;
+                record.downtime_us = faults.detection_us + faults.reschedule_us;
+                record.frames_dropped = 1;
+                result.frames_dropped += 1;
+                if (obs.active())
+                    obs.record_loss(record.stage, f, final_departure + faults.detection_us);
+                try {
+                    record.new_solution = rescheduler->on_core_loss(record.lost_type, 1);
+                } catch (const rt::NoScheduleError&) {
+                    result.schedulable = false; // ends the run after this record
+                }
+                record.resources_after = rescheduler->resources();
+                if (result.schedulable) {
+                    // Would the runtime frame-swap in place? Same rule as
+                    // Pipeline::retarget: a resize-only plan::diff against
+                    // the running plan skips the drain entirely, so the
+                    // stall is detection + in-flight spawn; anything else
+                    // is rebuilt.
+                    plan::ExecutionPlan next = plan::ExecutionPlan::compile(
+                        current->chain(), record.new_solution, current->options());
+                    if (faults.frame_swap_us.has_value()
+                        && plan::diff(*current, next).resize_only()) {
+                        record.frame_swap_applied = true;
+                        record.downtime_us = faults.detection_us + *faults.frame_swap_us;
+                    }
+                    // Hot-swap: every server of the new structure becomes
+                    // available once the loss is detected and the new
+                    // schedule deployed. The resumed pipeline is a fresh
+                    // track group, exactly like run_with_recovery appending
+                    // a hot-swapped Pipeline's workers to the shared
+                    // recorder.
+                    replanned = std::move(next);
+                    current = &*replanned;
+                    model = StageModel{*current, config.overhead,
+                                       final_departure + record.downtime_us};
+                    obs = ObsEpoch{config.sink, *current};
+                }
+                result.recoveries.push_back(std::move(record));
+            } while (result.schedulable && next_failure < pending.size()
+                     && pending[next_failure].frame <= f);
+            continue;
+        }
+
+        // Stages are branch-major and plan edges point forward, so every
+        // predecessor's departure is already computed when a stage is
+        // visited; a fan-in stage starts once the *latest* predecessor copy
+        // of the frame has crossed its adaptor (the runtime's merge gate pops
+        // one envelope per input). A stage's servers take frames round-robin
+        // by frames departed, which is the frame number until a loss.
+        const auto& stages = current->stages();
+        for (std::size_t i = 0; i < stages.size(); ++i) {
             double arrival = 0.0; // source stages produce frames continuously
             for (const int p : stages[i].preds)
-                arrival = std::max(arrival, depart[static_cast<std::size_t>(p)]
+                arrival = std::max(arrival, model.depart[static_cast<std::size_t>(p)]
                                                 + config.overhead.adaptor_crossing_us);
-            const auto r = model.last_departures[i].size();
-            double& server_free = model.last_departures[i][f % r];
-            const double start = std::max(arrival, server_free);
+            std::vector<double>& servers = model.server_free[i];
+            const auto server = static_cast<std::size_t>(departed % servers.size());
+            const double start = std::max(arrival, servers[server]);
             const double jitter = sigma > 0.0 ? std::exp(mu + sigma * rng.normal()) : 1.0;
             const double service = model.base_service[i] * model.penalty[i] * jitter;
-            depart[i] = start + service;
-            server_free = depart[i];
-            busy[i] += service;
-            service_sum[i] += service;
+            model.depart[i] = start + service;
+            servers[server] = model.depart[i];
+            model.busy[i] += service;
             if (obs.active())
-                obs.record_span(i, f % r, f, start, service, start - arrival);
+                obs.record_span(i, server, f, start, service, start - arrival);
         }
-        const double depart_last = depart[static_cast<std::size_t>(plan.sink_stage())];
-        if (f == config.warmup_frames - 1)
-            window_start = depart_last;
-        final_departure = depart_last;
+        final_departure = model.depart[static_cast<std::size_t>(current->sink_stage())];
+        if (++departed == config.warmup_frames)
+            window_start = final_departure;
     }
 
-    SimulationResult result;
-    const auto measured = static_cast<double>(config.frames - config.warmup_frames);
+    result.final_solution = current->solution();
+    const std::uint64_t measured =
+        departed > config.warmup_frames ? departed - config.warmup_frames : 0;
     const double window = final_departure - window_start;
-    result.period_us = window > 0.0 ? window / measured : 0.0;
+    result.period_us =
+        measured > 0 && window > 0.0 ? window / static_cast<double>(measured) : 0.0;
     result.fps = result.period_us > 0.0 ? 1e6 / result.period_us : 0.0;
-    obs.record_run(config.frames, 0, final_departure, result.fps);
+    obs.record_run(departed, result.frames_dropped, final_departure, result.fps);
+    if (!result.recoveries.empty())
+        return result; // no per-stage accounting across re-plans
 
-    result.stages.resize(k);
+    const auto& stages = plan.stages();
+    result.stages.resize(stages.size());
     double active_energy = 0.0; // watt-us over the whole run
-    for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t i = 0; i < stages.size(); ++i) {
         const double capacity = final_departure * static_cast<double>(stages[i].replicas);
-        result.stages[i].utilization = capacity > 0.0 ? std::min(1.0, busy[i] / capacity) : 0.0;
-        result.stages[i].mean_service_us = service_sum[i] / static_cast<double>(config.frames);
-        active_energy += busy[i] * config.power.watts(stages[i].type);
+        result.stages[i].utilization =
+            capacity > 0.0 ? std::min(1.0, model.busy[i] / capacity) : 0.0;
+        result.stages[i].mean_service_us = model.busy[i] / static_cast<double>(config.frames);
+        active_energy += model.busy[i] * config.power.watts(stages[i].type);
     }
     result.energy_per_frame = active_energy / static_cast<double>(config.frames);
     return result;
@@ -221,157 +289,7 @@ SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfi
 SimulationResult simulate(const core::TaskChain& chain, const core::Solution& solution,
                           const SimulationConfig& config)
 {
-    // Legacy pre-checks kept verbatim: callers pin these messages.
-    if (solution.empty())
-        throw std::invalid_argument{"simulate: empty solution"};
-    if (!solution.is_well_formed(chain))
-        throw std::invalid_argument{"simulate: solution does not fit the chain"};
-    if (config.frames <= config.warmup_frames)
-        throw std::invalid_argument{"simulate: frames must exceed warmup_frames"};
     return simulate(plan::ExecutionPlan::compile(chain, solution), config);
-}
-
-FailureSimulationResult simulate_with_failures(const core::TaskChain& chain,
-                                               const core::Solution& solution,
-                                               core::Resources budget,
-                                               const SimulationConfig& config,
-                                               const FailureModel& faults)
-{
-    if (solution.empty())
-        throw std::invalid_argument{"simulate_with_failures: empty solution"};
-    if (!solution.is_well_formed(chain))
-        throw std::invalid_argument{"simulate_with_failures: solution does not fit the chain"};
-    if (config.frames <= config.warmup_frames)
-        throw std::invalid_argument{"simulate_with_failures: frames must exceed warmup_frames"};
-
-    std::vector<SimFailure> pending = faults.failures;
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const SimFailure& a, const SimFailure& b) { return a.frame < b.frame; });
-
-    // The rescheduler mirrors the runtime's recovery decisions: same chain,
-    // same degraded resource vector, same warm HeRAD re-solve.
-    rt::Rescheduler rescheduler{chain, budget, faults.policy};
-
-    FailureSimulationResult result;
-    core::Solution current = solution;
-    plan::ExecutionPlan current_plan = plan::ExecutionPlan::compile(chain, current);
-    StageModel model{current_plan, config.overhead, 0.0};
-    ObsEpoch obs{config.sink, current_plan};
-
-    Rng rng{config.overhead.seed};
-    const double cv = config.overhead.jitter_cv;
-    const double sigma = cv > 0.0 ? std::sqrt(std::log(1.0 + cv * cv)) : 0.0;
-    const double mu = -0.5 * sigma * sigma; // unit-mean lognormal
-
-    std::size_t next_failure = 0;
-    std::uint64_t departed = 0;
-    double window_start = 0.0;
-    double final_departure = 0.0;
-
-    for (std::uint64_t f = 0; f < config.frames; ++f) {
-        bool frame_lost = false;
-        while (next_failure < pending.size() && pending[next_failure].frame <= f) {
-            const SimFailure& event = pending[next_failure++];
-            const std::size_t stage =
-                std::min(event.stage, current.stage_count() - 1);
-            const core::CoreType lost = current.stage(stage).type;
-
-            RecoveryRecord record;
-            record.frame = f;
-            record.stage = stage;
-            record.lost_type = lost;
-            record.downtime_us = faults.detection_us + faults.reschedule_us;
-            record.frames_dropped = 1; // the frame in service on the lost core
-
-            core::Solution next;
-            try {
-                next = rescheduler.on_core_loss(lost, 1);
-            } catch (const rt::NoScheduleError&) {
-                result.schedulable = false;
-            }
-            record.resources_after = rescheduler.resources();
-            if (!result.schedulable) {
-                if (obs.active())
-                    obs.record_loss(stage, f, final_departure + faults.detection_us);
-                result.recoveries.push_back(std::move(record));
-                result.frames_dropped += 1;
-                result.final_solution = current;
-                result.overall.period_us =
-                    departed > config.warmup_frames && final_departure > window_start
-                        ? (final_departure - window_start)
-                              / static_cast<double>(departed - config.warmup_frames)
-                        : 0.0;
-                result.overall.fps =
-                    result.overall.period_us > 0.0 ? 1e6 / result.overall.period_us : 0.0;
-                return result;
-            }
-            record.new_solution = next;
-
-            // Would the runtime frame-swap in place? Same rule as
-            // Pipeline::retarget: a resize-only plan::diff against the
-            // running plan skips the drain entirely, so the stall is
-            // detection + in-flight spawn; anything else is rebuilt.
-            plan::ExecutionPlan next_plan = plan::ExecutionPlan::compile(chain, next);
-            if (faults.frame_swap_us.has_value()
-                && plan::diff(current_plan, next_plan).resize_only()) {
-                record.frame_swap_applied = true;
-                record.downtime_us = faults.detection_us + *faults.frame_swap_us;
-            }
-
-            result.recoveries.push_back(record);
-            result.frames_dropped += 1;
-            frame_lost = true;
-
-            // Hot-swap: every server of the new structure becomes available
-            // once the loss is detected and the new schedule deployed.
-            const double resume_at = final_departure + record.downtime_us;
-            if (obs.active()) {
-                obs.record_loss(stage, f, final_departure + faults.detection_us);
-                // The resumed pipeline is a fresh track group, exactly like
-                // run_with_recovery appending a hot-swapped Pipeline's
-                // workers to the shared recorder.
-                obs = ObsEpoch{config.sink, next_plan};
-            }
-            current = std::move(next);
-            current_plan = std::move(next_plan);
-            model = StageModel{current_plan, config.overhead, resume_at};
-        }
-        if (frame_lost)
-            continue; // consumed by the failure event(s)
-
-        // Stage 0 sources frames continuously; the post-failure stall is
-        // carried by the servers' ready times (resume_at).
-        double arrival = 0.0;
-        const std::size_t k = current.stage_count();
-        for (std::size_t i = 0; i < k; ++i) {
-            const auto r = model.last_departures[i].size();
-            const auto server =
-                static_cast<std::size_t>(departed % static_cast<std::uint64_t>(r));
-            double& server_free = model.last_departures[i][server];
-            const double start = std::max(arrival, server_free);
-            const double jitter = sigma > 0.0 ? std::exp(mu + sigma * rng.normal()) : 1.0;
-            const double service = model.base_service[i] * model.penalty[i] * jitter;
-            const double depart = start + service;
-            server_free = depart;
-            if (obs.active())
-                obs.record_span(i, server, f, start, service, start - arrival);
-            arrival = depart + config.overhead.adaptor_crossing_us;
-        }
-        final_departure = arrival - config.overhead.adaptor_crossing_us;
-        ++departed;
-        if (departed == config.warmup_frames)
-            window_start = final_departure;
-    }
-
-    result.final_solution = current;
-    const auto measured = departed > config.warmup_frames
-        ? static_cast<double>(departed - config.warmup_frames)
-        : 0.0;
-    const double window = final_departure - window_start;
-    result.overall.period_us = measured > 0.0 && window > 0.0 ? window / measured : 0.0;
-    result.overall.fps = result.overall.period_us > 0.0 ? 1e6 / result.overall.period_us : 0.0;
-    obs.record_run(departed, result.frames_dropped, final_departure, result.overall.fps);
-    return result;
 }
 
 std::vector<SimFailure> random_failures(std::uint64_t seed, int count, std::uint64_t warmup,
@@ -581,7 +499,7 @@ AutoscaleSimResult simulate_autoscale(const AutoscaleScenario& scenario)
     double period_us = 0.0;
     double energy_item = 0.0;
     const auto adopt = [&](const core::Solution& solution) {
-        period_us = expected_period_us(scenario.chain, solution);
+        period_us = solution.period(scenario.chain);
         energy_item = core::energy_per_item(scenario.chain, solution, scenario.power);
     };
     rt::ResizeStep step{

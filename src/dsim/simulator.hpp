@@ -25,7 +25,6 @@
 #include "obs/sink.hpp"
 #include "plan/execution_plan.hpp"
 #include "rt/autoscaler.hpp"
-#include "rt/rescheduler.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -51,6 +50,40 @@ struct OverheadModel {
     std::uint64_t seed = 0x5eed;
 };
 
+// -- permanent core losses -------------------------------------------------
+//
+// Thread-free mirror of the runtime's fault model (docs/FAULT_MODEL.md): at
+// chosen stream positions a stage loses one core for good. The run applies
+// the same recovery decision the runtime would make -- it reduces the
+// resource vector, re-solves HeRAD through rt::Rescheduler, and resumes the
+// departure recurrence on the new stage structure after a detection +
+// reschedule latency -- so recovery behaviour is testable deterministically,
+// without threads or timing jitter.
+
+/// One permanent core loss: at stream frame `frame`, the stage at index
+/// `stage` (into the *current* plan; clamped if rescheduling shrank the
+/// stage list) loses one core.
+struct SimFailure {
+    std::uint64_t frame = 0;
+    std::size_t stage = 0;
+};
+
+struct FailureModel {
+    std::vector<SimFailure> failures;
+    /// Resource vector the plan's solution was computed for; each loss
+    /// removes one core of the failing stage's type from it before the
+    /// re-solve. Ignored when `failures` is empty.
+    core::Resources budget{};
+    double detection_us = 200.0;  ///< watchdog heartbeat-timeout equivalent
+    double reschedule_us = 50.0;  ///< solver + full pipeline rebuild cost
+    /// Swap cost when the post-loss plan delta is *resize-only* (every stage
+    /// kept or resized, nothing rebound or recut): the runtime applies it
+    /// mid-segment without draining (Pipeline::retarget's frame outcome),
+    /// so the stall is the in-flight spawn cost, not a drain and rebuild.
+    /// Unset = every recovery is charged `reschedule_us`.
+    std::optional<double> frame_swap_us{};
+};
+
 struct SimulationConfig {
     std::uint64_t frames = 20000;      ///< frames to push through the pipeline
     std::uint64_t warmup_frames = 2000; ///< excluded from the throughput window
@@ -63,6 +96,8 @@ struct SimulationConfig {
     /// and latency histograms, fence/tombstone instants on failures -- so
     /// a simulated trace diffs event-by-event against a real one.
     obs::Sink* sink = nullptr;
+    /// Permanent core losses replayed during the run (linear plans only).
+    FailureModel faults{};
 };
 
 struct StageStats {
@@ -70,73 +105,7 @@ struct StageStats {
     double mean_service_us = 0.0;
 };
 
-struct SimulationResult {
-    double fps = 0.0;            ///< pipeline frames per second (steady state)
-    double period_us = 0.0;      ///< observed inter-departure time
-    /// Simulated ACTIVE energy per frame (watt-us): busy core-time per stage
-    /// x the stage type's active watts, averaged over all frames. The
-    /// measured analog of core::energy_per_item, except it charges the
-    /// *simulated* service times (inflation, jitter, replication penalties
-    /// included) and assumes unit per-task energy weights -- the compiled
-    /// plan profile carries service times, not energy weights. Populated by
-    /// simulate(); 0 in the failure replay's `overall` (no per-stage
-    /// accounting across reschedules).
-    double energy_per_frame = 0.0;
-    std::vector<StageStats> stages;
-};
-
-/// Simulates a compiled execution plan -- the same object rt::Pipeline
-/// executes, so a simulated and a real run of one plan are diffable
-/// event-by-event. The plan must carry a task-weight profile
-/// (plan::ExecutionPlan::has_profile()); throws std::invalid_argument
-/// otherwise.
-[[nodiscard]] SimulationResult simulate(const plan::ExecutionPlan& plan,
-                                        const SimulationConfig& config = {});
-
-/// Simulates the execution of `solution` over `chain` task latencies (in
-/// microseconds, as in the paper's profiles). Convenience wrapper: compiles
-/// the pair into a plan::ExecutionPlan and simulates that.
-[[nodiscard]] SimulationResult simulate(const core::TaskChain& chain,
-                                        const core::Solution& solution,
-                                        const SimulationConfig& config = {});
-
-/// Expected (model) period of a solution in microseconds: max stage weight,
-/// i.e. what the scheduler itself predicts (no overheads).
-[[nodiscard]] double expected_period_us(const core::TaskChain& chain,
-                                        const core::Solution& solution);
-
-// -- failure events -------------------------------------------------------
-//
-// Thread-free mirror of the runtime's fault model (docs/FAULT_MODEL.md):
-// at chosen stream positions a stage loses one core for good. The simulator
-// applies the same recovery decision the runtime would make -- it reduces
-// the resource vector, re-solves HeRAD through rt::Rescheduler, and
-// resumes the departure recurrence on the new stage structure after a
-// detection + reschedule latency -- so recovery behaviour is testable
-// deterministically, without threads or timing jitter.
-
-/// One permanent core loss: at stream frame `frame`, the stage at index
-/// `stage` (into the *current* solution; clamped if rescheduling shrank the
-/// stage list) loses one core.
-struct SimFailure {
-    std::uint64_t frame = 0;
-    std::size_t stage = 0;
-};
-
-struct FailureModel {
-    std::vector<SimFailure> failures;
-    double detection_us = 200.0;  ///< watchdog heartbeat-timeout equivalent
-    double reschedule_us = 50.0;  ///< solver + full pipeline rebuild cost
-    /// Swap cost when the post-loss plan delta is *resize-only* (every stage
-    /// kept or resized, nothing rebound or recut): the runtime applies it
-    /// mid-segment without draining (Pipeline::retarget's frame outcome),
-    /// so the stall is the in-flight spawn cost, not a drain and rebuild.
-    /// Unset = every recovery is charged `reschedule_us`.
-    std::optional<double> frame_swap_us{};
-    rt::ReschedulePolicy policy{};
-};
-
-/// What the simulator decided at one failure event.
+/// What the simulator decided at one core loss.
 struct RecoveryRecord {
     std::uint64_t frame = 0;           ///< stream position of the loss
     std::size_t stage = 0;             ///< failed stage (pre-reschedule index)
@@ -148,23 +117,47 @@ struct RecoveryRecord {
     /// True when the delta is resize-only *and* FailureModel::frame_swap_us
     /// is set: the runtime would swap mid-segment without draining.
     bool frame_swap_applied = false;
+
+    [[nodiscard]] bool operator==(const RecoveryRecord&) const = default;
 };
 
-struct FailureSimulationResult {
-    SimulationResult overall;              ///< throughput across the whole run
-    std::vector<RecoveryRecord> recoveries;
-    core::Solution final_solution;
+struct SimulationResult {
+    double fps = 0.0;            ///< pipeline frames per second (steady state)
+    double period_us = 0.0;      ///< observed inter-departure time
+    /// Simulated ACTIVE energy per frame (watt-us): busy core-time per stage
+    /// x the stage type's active watts, averaged over all frames. The
+    /// measured analog of core::energy_per_item, except it charges the
+    /// *simulated* service times (inflation, jitter, replication penalties
+    /// included) and assumes unit per-task energy weights -- the compiled
+    /// plan profile carries service times, not energy weights. Like
+    /// `stages`, reported only for a run without a core loss (0 and empty
+    /// otherwise: no per-stage accounting across re-plans).
+    double energy_per_frame = 0.0;
+    std::vector<StageStats> stages;
+    std::vector<RecoveryRecord> recoveries; ///< one per replayed core loss
+    core::Solution final_solution;          ///< schedule the run ended on
     std::uint64_t frames_dropped = 0;
     bool schedulable = true; ///< false when a loss left no feasible schedule
 };
 
-/// Simulates `solution` over `chain` under permanent core losses. `budget`
-/// is the resource vector the solution was computed for; each loss removes
-/// one core of the failing stage's type before rescheduling.
-[[nodiscard]] FailureSimulationResult
-simulate_with_failures(const core::TaskChain& chain, const core::Solution& solution,
-                       core::Resources budget, const SimulationConfig& config,
-                       const FailureModel& faults);
+/// Simulates a compiled execution plan -- the same object rt::Pipeline
+/// executes, so a simulated and a real run of one plan are diffable
+/// event-by-event -- and replays config.faults on it. The plan must carry a
+/// task-weight profile (plan::ExecutionPlan::has_profile()). Throws
+/// std::invalid_argument without one, when frames do not exceed
+/// warmup_frames, and when losses are listed on a DAG plan or with a
+/// faults.budget below the plan's used cores of either type. A loss that
+/// leaves no feasible schedule ends the run (schedulable = false).
+[[nodiscard]] SimulationResult simulate(const plan::ExecutionPlan& plan,
+                                        const SimulationConfig& config = {});
+
+/// Simulates the execution of `solution` over `chain` task latencies (in
+/// microseconds, as in the paper's profiles). Convenience wrapper: compiles
+/// the pair into a plan::ExecutionPlan (plan::PlanError, an
+/// std::invalid_argument, on a malformed pair) and simulates that.
+[[nodiscard]] SimulationResult simulate(const core::TaskChain& chain,
+                                        const core::Solution& solution,
+                                        const SimulationConfig& config = {});
 
 /// Deterministic random failure plan: `count` losses at frames drawn from
 /// [warmup, frames) and stages drawn from [0, stage_count). Same seed, same

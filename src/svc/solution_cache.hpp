@@ -47,9 +47,9 @@ struct CacheKey {
     std::int32_t little = 0;
     std::uint8_t strategy = 0;
     /// ScheduleOptions::key_bits(): dense boolean/enum option encoding.
-    /// 16 bits wide -- 5 are in use (merge, prune, fast upper bound,
-    /// big-first preference, energy objective) and the headroom keeps the
-    /// next option from silently truncating.
+    /// 16 bits wide -- 4 are in use (merge, prune, big-first preference,
+    /// energy objective) and the headroom keeps the next option from
+    /// silently truncating.
     std::uint16_t options = 0;
     /// ScheduleRequest::cache_domain: separates namespaces whose entries
     /// must not mix even for byte-identical chains -- e.g. a linearized

@@ -87,15 +87,12 @@ TEST(WarmStart, SweepHoldsUnderEveryHeradOptionSet)
 {
     const TaskChain chain = random_chain(12, 0xBEE);
     for (const bool prune : {false, true}) {
-        for (const bool fast_u : {false, true}) {
-            for (const bool merge : {false, true}) {
-                ScheduleOptions options;
-                options.prune = prune;
-                options.fast_u_search = fast_u;
-                options.merge_stages = merge;
-                expect_warm_equals_cold(chain, {2, 3}, {3, 4}, options);
-                expect_warm_equals_cold(chain, {3, 4}, {1, 2}, options);
-            }
+        for (const bool merge : {false, true}) {
+            ScheduleOptions options;
+            options.prune = prune;
+            options.merge_stages = merge;
+            expect_warm_equals_cold(chain, {2, 3}, {3, 4}, options);
+            expect_warm_equals_cold(chain, {3, 4}, {1, 2}, options);
         }
     }
 }
@@ -177,17 +174,17 @@ TEST(WarmStart, MismatchedFrontierFallsBackToColdWithFreshFrontier)
     ASSERT_NE(fallback.frontier, nullptr);
     EXPECT_TRUE(fallback.frontier->matches(chain_b, {}));
 
-    // Different HeRAD options (fast_u_search changes tie-breaking, so the
+    // Different HeRAD options (the frontier matches on prune, so the
     // matrices are not interchangeable): also a cold fallback.
-    ScheduleOptions fast;
-    fast.fast_u_search = true;
-    ScheduleRequest options_mismatch{chain_a, {2, 3}, Strategy::herad, fast};
+    ScheduleOptions unpruned;
+    unpruned.prune = false;
+    ScheduleRequest options_mismatch{chain_a, {2, 3}, Strategy::herad, unpruned};
     options_mismatch.warm.frontier = stale;
     const ScheduleResult refit = schedule(options_mismatch);
     ASSERT_TRUE(refit.ok());
     EXPECT_FALSE(refit.warm_start);
-    EXPECT_EQ(refit.solution, schedule(ScheduleRequest{chain_a, {2, 3}, Strategy::herad, fast})
-                                  .solution);
+    EXPECT_EQ(refit.solution,
+              schedule(ScheduleRequest{chain_a, {2, 3}, Strategy::herad, unpruned}).solution);
 }
 
 TEST(WarmStart, DetailWarmSolveRejectsAMismatchedBaseLoudly)

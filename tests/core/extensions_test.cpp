@@ -1,8 +1,7 @@
 // Tests of the extension features beyond the paper's core algorithms:
-// FERTAC's big-first preference and HeRAD's fast u-search.
+// FERTAC's big-first preference.
 
 #include "core/fertac.hpp"
-#include "core/herad.hpp"
 #include "sim/generator.hpp"
 #include "test_support.hpp"
 
@@ -48,40 +47,6 @@ TEST(FertacBigFirst, BothVariantsStayValidOnRandomChains)
             ASSERT_LE(sol.used(CoreType::little), 3);
         }
     }
-}
-
-TEST(HeradFastUSearch, PeriodMatchesExactSearch)
-{
-    amp::Rng rng{0xfa57};
-    amp::sim::GeneratorConfig config;
-    config.num_tasks = 12;
-    for (const double sr : {0.2, 0.5, 0.8}) {
-        config.stateless_ratio = sr;
-        for (int trial = 0; trial < 20; ++trial) {
-            const auto chain = amp::sim::generate_chain(config, rng);
-            for (const Resources budget : {Resources{6, 6}, Resources{10, 2}}) {
-                const Solution exact = solve(Strategy::herad, chain, budget, {.fast_u_search = false});
-                const Solution fast = solve(Strategy::herad, chain, budget, {.fast_u_search = true});
-                ASSERT_FALSE(fast.empty());
-                ASSERT_TRUE(fast.is_well_formed(chain));
-                ASSERT_NEAR(fast.period(chain), exact.period(chain), 1e-9)
-                    << "sr=" << sr << " trial=" << trial;
-            }
-        }
-    }
-}
-
-TEST(HeradFastUSearch, RespectsBudgets)
-{
-    amp::Rng rng{0xfa58};
-    amp::sim::GeneratorConfig config;
-    config.num_tasks = 20;
-    config.stateless_ratio = 0.8;
-    const auto chain = amp::sim::generate_chain(config, rng);
-    const Resources budget{12, 12};
-    const Solution fast = solve(Strategy::herad, chain, budget, {.fast_u_search = true});
-    EXPECT_LE(fast.used(CoreType::big), budget.big);
-    EXPECT_LE(fast.used(CoreType::little), budget.little);
 }
 
 } // namespace

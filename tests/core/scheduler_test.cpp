@@ -201,10 +201,10 @@ TEST(Scheduler, ConvenienceWrapperMatchesRequestApi)
 TEST(Scheduler, DefaultOptionsCompareEqual)
 {
     EXPECT_EQ(ScheduleOptions{}, ScheduleOptions{});
-    ScheduleOptions fast;
-    fast.fast_u_search = true;
-    EXPECT_NE(fast, ScheduleOptions{});
-    EXPECT_NE(fast.key_bits(), ScheduleOptions{}.key_bits());
+    ScheduleOptions unpruned;
+    unpruned.prune = false;
+    EXPECT_NE(unpruned, ScheduleOptions{});
+    EXPECT_NE(unpruned.key_bits(), ScheduleOptions{}.key_bits());
 }
 
 } // namespace

@@ -1,7 +1,9 @@
 #include "dsim/simulator.hpp"
 
 #include "core/scheduler.hpp"
+#include "obs/schema.hpp"
 #include "rt/rescheduler.hpp"
+#include "svc/solver_service.hpp"
 
 #include <gtest/gtest.h>
 
@@ -56,15 +58,15 @@ TEST(FailureSim, NoFailuresMatchesPlainSimulation)
         core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
     ASSERT_FALSE(solution.empty());
 
-    const auto config = small_config();
+    auto config = small_config();
     const auto plain = dsim::simulate(chain, solution, config);
-    const auto faulty =
-        dsim::simulate_with_failures(chain, solution, budget, config, dsim::FailureModel{});
+    config.faults.budget = budget;
+    const auto faulty = dsim::simulate(chain, solution, config);
 
     EXPECT_TRUE(faulty.schedulable);
     EXPECT_TRUE(faulty.recoveries.empty());
     EXPECT_EQ(faulty.frames_dropped, 0u);
-    EXPECT_DOUBLE_EQ(faulty.overall.period_us, plain.period_us)
+    EXPECT_DOUBLE_EQ(faulty.period_us, plain.period_us)
         << "the failure path must not perturb the healthy recurrence";
     EXPECT_EQ(faulty.final_solution, solution);
 }
@@ -79,14 +81,14 @@ TEST(FailureSim, RecoveryDecisionsAreDeterministicFromSeed)
         core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
     ASSERT_FALSE(solution.empty());
 
-    const auto config = small_config();
-    dsim::FailureModel faults;
-    faults.failures =
+    auto config = small_config();
+    config.faults.budget = budget;
+    config.faults.failures =
         dsim::random_failures(0xfa17, 2, config.warmup_frames, config.frames,
                               solution.stage_count());
 
-    const auto first = dsim::simulate_with_failures(chain, solution, budget, config, faults);
-    const auto second = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    const auto first = dsim::simulate(chain, solution, config);
+    const auto second = dsim::simulate(chain, solution, config);
 
     ASSERT_EQ(first.recoveries.size(), 2u);
     ASSERT_EQ(second.recoveries.size(), first.recoveries.size());
@@ -102,7 +104,7 @@ TEST(FailureSim, RecoveryDecisionsAreDeterministicFromSeed)
     }
     EXPECT_EQ(first.final_solution, second.final_solution);
     EXPECT_EQ(first.frames_dropped, second.frames_dropped);
-    EXPECT_DOUBLE_EQ(first.overall.period_us, second.overall.period_us);
+    EXPECT_DOUBLE_EQ(first.period_us, second.period_us);
 }
 
 // The simulator's decisions are exactly the runtime Rescheduler's: feeding
@@ -115,16 +117,16 @@ TEST(FailureSim, MirrorsRuntimeReschedulerDecisions)
         core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
     ASSERT_FALSE(solution.empty());
 
-    const auto config = small_config();
-    dsim::FailureModel faults;
-    faults.failures = dsim::random_failures(99, 3, config.warmup_frames, config.frames,
-                                            solution.stage_count());
+    auto config = small_config();
+    config.faults.budget = budget;
+    config.faults.failures = dsim::random_failures(99, 3, config.warmup_frames, config.frames,
+                                                   solution.stage_count());
 
-    const auto result = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    const auto result = dsim::simulate(chain, solution, config);
     ASSERT_TRUE(result.schedulable);
     ASSERT_EQ(result.recoveries.size(), 3u);
 
-    rt::Rescheduler twin{chain, budget, faults.policy};
+    rt::Rescheduler twin{chain, budget};
     for (const auto& record : result.recoveries) {
         const core::Solution expected = twin.on_core_loss(record.lost_type);
         EXPECT_EQ(twin.resources(), record.resources_after);
@@ -137,6 +139,70 @@ TEST(FailureSim, MirrorsRuntimeReschedulerDecisions)
     EXPECT_EQ(result.final_solution, result.recoveries.back().new_solution);
 }
 
+// The whole record of one loss replay, pinned bit for bit: the period and
+// fps, every RecoveryRecord field, the final solution and the drops. The
+// same replay on the plan svc::SolverService::solve_planned returns for the
+// same request gives the same record.
+TEST(FailureSim, ReplayMatchesThePinnedRecord)
+{
+    using core::CoreType;
+    using core::Stage;
+    const core::TaskChain chain = make_chain(6);
+    const core::Resources budget{3, 2};
+    const core::ScheduleRequest request{chain, budget, core::Strategy::herad};
+    const core::Solution solution = core::schedule(request).solution;
+    ASSERT_EQ(solution, (core::Solution{{Stage{1, 5, 3, CoreType::big},
+                                         Stage{6, 6, 2, CoreType::little}}}));
+
+    auto config = small_config();
+    config.faults.budget = budget;
+    config.faults.failures = dsim::random_failures(99, 3, config.warmup_frames, config.frames,
+                                                   solution.stage_count());
+    config.faults.frame_swap_us = 100.0;
+
+    // Every loss recuts the stages, so none is a frame swap.
+    const std::vector<dsim::RecoveryRecord> recoveries{
+        {.frame = 1241,
+         .stage = 1,
+         .lost_type = CoreType::little,
+         .resources_after = {3, 1},
+         .new_solution = core::Solution{{Stage{1, 1, 1, CoreType::little},
+                                         Stage{2, 6, 3, CoreType::big}}},
+         .downtime_us = 250.0,
+         .frames_dropped = 1},
+        {.frame = 1321,
+         .stage = 1,
+         .lost_type = CoreType::big,
+         .resources_after = {2, 1},
+         .new_solution = core::Solution{{Stage{1, 5, 2, CoreType::big},
+                                         Stage{6, 6, 1, CoreType::little}}},
+         .downtime_us = 250.0,
+         .frames_dropped = 1},
+        {.frame = 2422,
+         .stage = 0,
+         .lost_type = CoreType::big,
+         .resources_after = {1, 1},
+         .new_solution = core::Solution{{Stage{1, 2, 1, CoreType::little},
+                                         Stage{3, 6, 1, CoreType::big}}},
+         .downtime_us = 250.0,
+         .frames_dropped = 1},
+    };
+    const auto expect_pinned = [&](const dsim::SimulationResult& result) {
+        EXPECT_EQ(result.period_us, 0x1.4b193b67a86bep+6);
+        EXPECT_EQ(result.fps, 0x1.7987f5432b2f7p+13);
+        EXPECT_TRUE(result.recoveries == recoveries);
+        EXPECT_EQ(result.final_solution, recoveries.back().new_solution);
+        EXPECT_EQ(result.frames_dropped, 3u);
+        EXPECT_TRUE(result.schedulable);
+    };
+    expect_pinned(dsim::simulate(chain, solution, config));
+
+    svc::SolverService service{{.workers = 1}};
+    const svc::PlannedSchedule planned = service.solve_planned(request);
+    ASSERT_TRUE(planned.ok());
+    expect_pinned(dsim::simulate(*planned.plan, config));
+}
+
 TEST(FailureSim, ReportsUnschedulableWhenNoCoreRemains)
 {
     const core::TaskChain chain = make_chain(3);
@@ -145,14 +211,65 @@ TEST(FailureSim, ReportsUnschedulableWhenNoCoreRemains)
         core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::otac_big}).solution;
     ASSERT_FALSE(solution.empty());
 
+    obs::Sink sink{obs::SinkConfig{.metrics = true, .trace = false}};
     auto config = small_config();
-    dsim::FailureModel faults;
-    faults.failures.push_back(dsim::SimFailure{500, 0});
+    config.sink = &sink;
+    config.faults.budget = budget;
+    config.faults.failures.push_back(dsim::SimFailure{500, 0});
 
-    const auto result = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    const auto result = dsim::simulate(chain, solution, config);
     EXPECT_FALSE(result.schedulable) << "losing the only core leaves nothing to run on";
     ASSERT_EQ(result.recoveries.size(), 1u);
     EXPECT_EQ(result.recoveries[0].resources_after, (core::Resources{0, 0}));
+
+    // The run ends at the loss and still records its totals, like
+    // rt::Pipeline::run_from does for a degraded run.
+    const obs::MetricsSnapshot metrics = sink.metrics().snapshot();
+    ASSERT_EQ(metrics.counters.count(obs::schema::kFramesDelivered), 1u);
+    EXPECT_EQ(metrics.counters.at(obs::schema::kFramesDelivered), 500u)
+        << "the frames that departed before the loss";
+    ASSERT_EQ(metrics.counters.count(obs::schema::kFramesDropped), 1u);
+    EXPECT_EQ(metrics.counters.at(obs::schema::kFramesDropped), 1u);
+    ASSERT_EQ(metrics.gauges.count(obs::schema::kRunFps), 1u);
+    EXPECT_GT(result.fps, 0.0);
+    EXPECT_EQ(metrics.gauges.at(obs::schema::kRunFps), result.fps);
+}
+
+TEST(FailureSim, RejectsMalformedFaultInput)
+{
+    // Two branches of two tasks each, the first feeding the second: a graph
+    // plan, not a linear one.
+    const core::TaskChain chain = make_chain(4);
+    plan::GraphShape graph;
+    graph.chain = plan::ChainShape::of(chain);
+    graph.branches = {plan::GraphBranch{0, 1, 2, {}, {1}}, plan::GraphBranch{1, 3, 4, {0}, {}}};
+    const core::Solution branch{{core::Stage{1, 2, 1, core::CoreType::big}}};
+    const plan::ExecutionPlan dag = plan::ExecutionPlan::compile(chain, graph, {branch, branch});
+    ASSERT_FALSE(dag.linear());
+
+    auto config = small_config();
+    config.faults.budget = {4, 4};
+    config.faults.failures.push_back(dsim::SimFailure{500, 0});
+    EXPECT_THROW((void)dsim::simulate(dag, config), std::invalid_argument)
+        << "losses replay on linear plans only";
+
+    const core::Resources budget{3, 2};
+    const core::Solution solution =
+        core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
+    ASSERT_FALSE(solution.empty());
+    const core::Resources used = solution.used();
+    for (const core::Resources short_budget :
+         {core::Resources{used.big - 1, used.little}, core::Resources{used.big, used.little - 1}}) {
+        config.faults.budget = short_budget;
+        EXPECT_THROW((void)dsim::simulate(chain, solution, config), std::invalid_argument)
+            << "budget (" << short_budget.big << ", " << short_budget.little
+            << ") is below the plan's used cores";
+    }
+
+    config.faults.failures.clear();
+    config.faults.budget = {};
+    EXPECT_NO_THROW((void)dsim::simulate(chain, solution, config))
+        << "an empty loss list ignores the budget";
 }
 
 // The virtual-time mirror of the runtime's frame-granular swap: when the
@@ -176,14 +293,15 @@ TEST(FailureSim, FrameSwapModelShortensDowntimeForResizeOnlyDeltas)
         core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
     ASSERT_FALSE(solution.empty());
 
-    const auto config = small_config();
-    dsim::FailureModel faults;
+    auto config = small_config();
+    dsim::FailureModel& faults = config.faults;
+    faults.budget = budget;
     faults.detection_us = 200.0;
     faults.reschedule_us = 1000.0;
     faults.failures.push_back(dsim::SimFailure{500, 1}); // a little from stage 1
 
     // Frame swap not modelled: detection + drain and rebuild.
-    const auto drained = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    const auto drained = dsim::simulate(chain, solution, config);
     ASSERT_TRUE(drained.schedulable);
     ASSERT_EQ(drained.recoveries.size(), 1u);
     EXPECT_FALSE(drained.recoveries[0].frame_swap_applied);
@@ -191,7 +309,7 @@ TEST(FailureSim, FrameSwapModelShortensDowntimeForResizeOnlyDeltas)
 
     // Frame swap modelled: the resize-only delta takes the cheaper path.
     faults.frame_swap_us = 100.0;
-    const auto swapped = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    const auto swapped = dsim::simulate(chain, solution, config);
     ASSERT_EQ(swapped.recoveries.size(), 1u);
     EXPECT_TRUE(swapped.recoveries[0].frame_swap_applied);
     EXPECT_DOUBLE_EQ(swapped.recoveries[0].downtime_us, 200.0 + 100.0);
@@ -215,14 +333,15 @@ TEST(FailureSim, FrameSwapModelIgnoresNonResizeOnlyDeltas)
         core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
     ASSERT_FALSE(solution.empty());
 
-    const auto config = small_config();
-    dsim::FailureModel faults;
+    auto config = small_config();
+    dsim::FailureModel& faults = config.faults;
+    faults.budget = budget;
     faults.detection_us = 200.0;
     faults.reschedule_us = 1000.0;
     faults.frame_swap_us = 100.0;
     faults.failures.push_back(dsim::SimFailure{500, 0}); // the big from stage 0
 
-    const auto result = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    const auto result = dsim::simulate(chain, solution, config);
     ASSERT_TRUE(result.schedulable);
     ASSERT_EQ(result.recoveries.size(), 1u);
     EXPECT_FALSE(result.recoveries[0].frame_swap_applied) << "rebound: not resize-only";
@@ -237,15 +356,15 @@ TEST(FailureSim, ThroughputDegradesAfterCoreLoss)
         core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
     ASSERT_FALSE(solution.empty());
 
-    const auto config = small_config();
+    auto config = small_config();
     const double healthy = dsim::simulate(chain, solution, config).period_us;
 
-    dsim::FailureModel faults;
-    faults.failures.push_back(dsim::SimFailure{config.warmup_frames + 10, 0});
-    const auto result = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    config.faults.budget = budget;
+    config.faults.failures.push_back(dsim::SimFailure{config.warmup_frames + 10, 0});
+    const auto result = dsim::simulate(chain, solution, config);
     ASSERT_TRUE(result.schedulable);
-    EXPECT_GT(result.overall.period_us, 0.0);
-    EXPECT_GE(result.overall.period_us, healthy * 0.99)
+    EXPECT_GT(result.period_us, 0.0);
+    EXPECT_GE(result.period_us, healthy * 0.99)
         << "running most of the stream on fewer cores cannot beat the healthy period";
 }
 

@@ -30,7 +30,7 @@ TEST(Dsim, IdealPipelineMatchesExpectedPeriod)
     const Solution solution{{Stage{1, 1, 1, CoreType::big}, Stage{2, 2, 1, CoreType::big},
                              Stage{3, 3, 1, CoreType::big}}};
     const auto result = simulate(chain, solution, ideal_config());
-    EXPECT_NEAR(result.period_us, expected_period_us(chain, solution), 1e-6);
+    EXPECT_NEAR(result.period_us, solution.period(chain), 1e-6);
     EXPECT_NEAR(result.fps, 1e6 / 100.0, 1.0);
 }
 

@@ -104,7 +104,7 @@ TEST(TraceEquality, RealAndSimulatedRunsEmitTheSameSchema)
 
 TEST(TraceEquality, SimulatedFailureEmitsFenceAndTombstone)
 {
-    // The failure simulator mirrors the watchdog's fence/tombstone instants
+    // The loss replay mirrors the watchdog's fence/tombstone instants
     // on its own watchdog track, exactly like rt::Pipeline::fence.
     std::vector<core::TaskDesc> descs;
     for (int i = 1; i <= 3; ++i)
@@ -119,9 +119,9 @@ TEST(TraceEquality, SimulatedFailureEmitsFenceAndTombstone)
     config.frames = 50;
     config.warmup_frames = 5;
     config.sink = &sink;
-    dsim::FailureModel faults;
-    faults.failures.push_back(dsim::SimFailure{20, 0});
-    const auto result = dsim::simulate_with_failures(chain, solution, budget, config, faults);
+    config.faults.budget = budget;
+    config.faults.failures.push_back(dsim::SimFailure{20, 0});
+    const auto result = dsim::simulate(chain, solution, config);
     ASSERT_TRUE(result.schedulable);
     ASSERT_EQ(result.recoveries.size(), 1u);
 

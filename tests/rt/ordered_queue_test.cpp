@@ -473,17 +473,23 @@ TEST(OrderedQueueHandoff, SeededOracleDeliversExactlyOnceInOrder)
     EXPECT_GT(timeouts, 0u) << "no try_pop_for timed out";
 }
 
-/// Pops frames pushed once per ms, in rounds of 40, until a wait was
+/// Pops frames pushed at a steady pace, in rounds of 40, until a wait was
 /// polled (at most ten rounds), so the queue has a push history and a
-/// measured guard even when other tests load the host.
+/// measured guard even when other tests load the host. A wait polls only
+/// while four guards fit in the gap, so each round paces its pushes at
+/// five times the guard measured so far, and at least 1 ms: a loaded or
+/// instrumented host whose timed sleeps oversleep by more than a quarter
+/// of a millisecond gets wider gaps instead of a wait that may not poll.
 void pop_a_paced_stream(OrderedQueue<int>& queue)
 {
     std::uint64_t seq = 0;
     for (int round = 0; round < 10 && queue.handoffs().polled == 0; ++round) {
-        std::thread producer{[&queue, first = seq] {
+        const Clock::duration pace =
+            std::max<Clock::duration>(milliseconds{1}, 5 * queue.handoffs().guard);
+        std::thread producer{[&queue, first = seq, pace] {
             const Clock::time_point start = Clock::now();
             for (int i = 0; i < 40; ++i) {
-                std::this_thread::sleep_until(start + milliseconds{i + 1});
+                std::this_thread::sleep_until(start + (i + 1) * pace);
                 queue.push(Envelope<int>::data(first + static_cast<std::uint64_t>(i), i));
             }
         }};

@@ -24,10 +24,9 @@ core::ScheduleOptions options_from_bits(unsigned bits)
     core::ScheduleOptions options;
     options.merge_stages = (bits & 1u) != 0;
     options.prune = (bits & 2u) != 0;
-    options.fast_u_search = (bits & 4u) != 0;
-    options.preference = (bits & 8u) != 0 ? core::FertacPreference::big_first
+    options.preference = (bits & 4u) != 0 ? core::FertacPreference::big_first
                                           : core::FertacPreference::little_first;
-    if ((bits & 16u) != 0) {
+    if ((bits & 8u) != 0) {
         options.objective = core::Objective::min_energy_under_period;
         options.target_period = 25.0;
     }
@@ -36,13 +35,13 @@ core::ScheduleOptions options_from_bits(unsigned bits)
 
 TEST(EnergyCacheKey, DistinctAcrossEveryOptionCombination)
 {
-    // All 32 combinations of the five encoded options must produce 32
-    // distinct cache keys -- the regression that motivated widening
-    // key_bits() from uint8_t before the 5th bit landed.
+    // All 16 combinations of the four encoded options must produce 16
+    // distinct cache keys -- the objective flag sits at bit 4, the one that
+    // motivated widening key_bits() from uint8_t.
     const auto chain = make_chain({{10, 20, true}, {5, 9, false}});
     std::vector<svc::CacheKey> keys;
     std::set<std::uint16_t> bit_patterns;
-    for (unsigned bits = 0; bits < 32; ++bits) {
+    for (unsigned bits = 0; bits < 16; ++bits) {
         core::ScheduleRequest request{chain, {2, 2}, core::Strategy::herad,
                                       options_from_bits(bits)};
         keys.push_back(svc::key_of(request));
@@ -51,7 +50,7 @@ TEST(EnergyCacheKey, DistinctAcrossEveryOptionCombination)
     for (std::size_t i = 0; i < keys.size(); ++i)
         for (std::size_t j = i + 1; j < keys.size(); ++j)
             EXPECT_NE(keys[i], keys[j]) << "combinations " << i << " and " << j;
-    EXPECT_EQ(bit_patterns.size(), 32u);
+    EXPECT_EQ(bit_patterns.size(), 16u);
 }
 
 TEST(EnergyCacheKey, OptionEncodingIsSixteenBitsWide)

@@ -74,9 +74,6 @@ TEST(CacheKey, OptionBitsCoverEveryOption)
     options.prune = false;
     EXPECT_NE(bits(options), base);
     options = {};
-    options.fast_u_search = true;
-    EXPECT_NE(bits(options), base);
-    options = {};
     options.preference = core::FertacPreference::big_first;
     EXPECT_NE(bits(options), base);
     options = {};

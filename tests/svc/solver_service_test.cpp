@@ -67,10 +67,10 @@ TEST(SolverService, DistinctOptionsDoNotShareCacheEntries)
 {
     svc::SolverService service{{.workers = 1}};
     const auto chain = make_chain({{10, 20, true}, {30, 60, true}, {5, 9, false}});
-    core::ScheduleRequest fast{chain, {3, 3}, core::Strategy::herad};
-    fast.options.fast_u_search = true;
+    core::ScheduleRequest unpruned{chain, {3, 3}, core::Strategy::herad};
+    unpruned.options.prune = false;
     (void)service.solve(core::ScheduleRequest{chain, {3, 3}, core::Strategy::herad});
-    const core::ScheduleResult result = service.solve(fast);
+    const core::ScheduleResult result = service.solve(unpruned);
     EXPECT_FALSE(result.cache_hit) << "options must be part of the cache key";
 }
 
