@@ -183,53 +183,52 @@ SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfi
 
     for (std::uint64_t f = 0; f < config.frames && result.schedulable; ++f) {
         if (next_failure < pending.size() && pending[next_failure].frame <= f) {
-            // Every loss due by frame f; the frame in service on the lost
-            // core is dropped.
-            do {
-                const SimFailure& event = pending[next_failure++];
-                RecoveryRecord record;
-                record.frame = f;
-                record.stage = std::min(event.stage, current->stage_count() - 1);
-                record.lost_type = current->stage(record.stage).type;
-                record.downtime_us = faults.detection_us + faults.reschedule_us;
-                record.frames_dropped = 1;
-                result.frames_dropped += 1;
-                if (obs.active())
-                    obs.record_loss(record.stage, f, final_departure + faults.detection_us);
-                try {
-                    record.new_solution = rescheduler->on_core_loss(record.lost_type, 1);
-                } catch (const rt::NoScheduleError&) {
-                    result.schedulable = false; // ends the run after this record
+            // One loss per frame: frame f was in service on the lost core
+            // and is dropped, so k losses due at one frame drop that frame
+            // and the k - 1 after it (a loss left past the run's last frame
+            // is not replayed), as each fence in rt tombstones its own frame.
+            const SimFailure& event = pending[next_failure++];
+            RecoveryRecord record;
+            record.frame = f;
+            record.stage = std::min(event.stage, current->stage_count() - 1);
+            record.lost_type = current->stage(record.stage).type;
+            record.downtime_us = faults.detection_us + faults.reschedule_us;
+            record.frames_dropped = 1;
+            result.frames_dropped += 1;
+            if (obs.active())
+                obs.record_loss(record.stage, f, final_departure + faults.detection_us);
+            try {
+                record.new_solution = rescheduler->on_core_loss(record.lost_type, 1);
+            } catch (const rt::NoScheduleError&) {
+                result.schedulable = false; // ends the run after this record
+            }
+            record.resources_after = rescheduler->resources();
+            if (result.schedulable) {
+                // Would the runtime frame-swap in place? Same rule as
+                // Pipeline::retarget: a resize-only plan::diff against
+                // the running plan skips the drain entirely, so the
+                // stall is detection + in-flight spawn; anything else
+                // is rebuilt.
+                plan::ExecutionPlan next = plan::ExecutionPlan::compile(
+                    current->chain(), record.new_solution, current->options());
+                if (faults.frame_swap_us.has_value()
+                    && plan::diff(*current, next).resize_only()) {
+                    record.frame_swap_applied = true;
+                    record.downtime_us = faults.detection_us + *faults.frame_swap_us;
                 }
-                record.resources_after = rescheduler->resources();
-                if (result.schedulable) {
-                    // Would the runtime frame-swap in place? Same rule as
-                    // Pipeline::retarget: a resize-only plan::diff against
-                    // the running plan skips the drain entirely, so the
-                    // stall is detection + in-flight spawn; anything else
-                    // is rebuilt.
-                    plan::ExecutionPlan next = plan::ExecutionPlan::compile(
-                        current->chain(), record.new_solution, current->options());
-                    if (faults.frame_swap_us.has_value()
-                        && plan::diff(*current, next).resize_only()) {
-                        record.frame_swap_applied = true;
-                        record.downtime_us = faults.detection_us + *faults.frame_swap_us;
-                    }
-                    // Hot-swap: every server of the new structure becomes
-                    // available once the loss is detected and the new
-                    // schedule deployed. The resumed pipeline is a fresh
-                    // track group, exactly like run_with_recovery appending
-                    // a hot-swapped Pipeline's workers to the shared
-                    // recorder.
-                    replanned = std::move(next);
-                    current = &*replanned;
-                    model = StageModel{*current, config.overhead,
-                                       final_departure + record.downtime_us};
-                    obs = ObsEpoch{config.sink, *current};
-                }
-                result.recoveries.push_back(std::move(record));
-            } while (result.schedulable && next_failure < pending.size()
-                     && pending[next_failure].frame <= f);
+                // Hot-swap: every server of the new structure becomes
+                // available once the loss is detected and the new
+                // schedule deployed. The resumed pipeline is a fresh
+                // track group, exactly like run_with_recovery appending
+                // a hot-swapped Pipeline's workers to the shared
+                // recorder.
+                replanned = std::move(next);
+                current = &*replanned;
+                model = StageModel{*current, config.overhead,
+                                   final_departure + record.downtime_us};
+                obs = ObsEpoch{config.sink, *current};
+            }
+            result.recoveries.push_back(std::move(record));
             continue;
         }
 

@@ -74,9 +74,8 @@ struct AutoscalePolicy {
     /// during the cooldown, so a persistent signal acts on the first
     /// window after it expires.
     std::int64_t cooldown_ns = 500'000'000;
-    /// Cores added/removed per action (of one type at a time).
-    int step = 1;
-    /// Pool clamps; shrink also never drops the last core.
+    /// Pool clamps; shrink also never drops the last core. An action adds
+    /// or removes one core.
     core::Resources min_pool{0, 1};
     core::Resources max_pool{0, 1};
     /// Which core type a grow tries first (a shrink frees it last).
@@ -123,7 +122,7 @@ public:
         return ScaleDecision::hold;
     }
 
-    /// The legal one-step shrink targets (one per core type with slack),
+    /// The legal one-core shrink targets (one per core type with slack),
     /// freeing the reverse of grow_first first. ResizeStep::feed tries them
     /// in order until one lands, so an infeasible first target degrades to
     /// the next candidate instead of absorbing the shrink.
@@ -136,40 +135,35 @@ public:
                                                             core::Resources current) noexcept
     {
         ShrinkCandidates out;
-        if (policy.step < 1)
-            return out;
         const core::CoreType first = policy.grow_first;
         const core::CoreType second = core::other(first);
         for (const core::CoreType type : {second, first}) {
-            core::Resources next = current;
-            const int slack = next.count(type) - policy.min_pool.count(type);
-            const int take = std::min({policy.step, slack, next.total() - 1});
-            if (take > 0) {
-                next.count(type) -= take;
+            if (current.count(type) > policy.min_pool.count(type) && current.total() > 1) {
+                core::Resources next = current;
+                --next.count(type);
                 out.target[static_cast<std::size_t>(out.count++)] = next;
             }
         }
         return out;
     }
 
-    /// The deterministic one-action resource step: grow adds policy.step
-    /// cores of grow_first (falling back to the other type once that axis
-    /// is at max_pool), shrink frees the first shrink_candidates() target
-    /// down to min_pool, never dropping the last core. nullopt when the
-    /// clamps leave no legal step (the decision is absorbed).
+    /// The deterministic one-action resource step: grow adds one core of
+    /// grow_first (falling back to the other type once that axis is at
+    /// max_pool), shrink frees the first shrink_candidates() target down to
+    /// min_pool, never dropping the last core. nullopt when the clamps
+    /// leave no legal step (the decision is absorbed).
     [[nodiscard]] static std::optional<core::Resources>
     stepped(const AutoscalePolicy& policy, core::Resources current, ScaleDecision decision) noexcept
     {
-        if (decision == ScaleDecision::hold || policy.step < 1)
+        if (decision == ScaleDecision::hold)
             return std::nullopt;
         const core::CoreType first = policy.grow_first;
         const core::CoreType second = core::other(first);
         core::Resources next = current;
         if (decision == ScaleDecision::grow) {
             for (const core::CoreType type : {first, second}) {
-                const int room = policy.max_pool.count(type) - next.count(type);
-                if (room > 0) {
-                    next.count(type) += std::min(policy.step, room);
+                if (next.count(type) < policy.max_pool.count(type)) {
+                    ++next.count(type);
                     return next;
                 }
             }

@@ -24,7 +24,7 @@ SolutionCache::SolutionCache(std::size_t capacity, std::size_t shards)
 {
 }
 
-std::optional<core::ScheduleResult> SolutionCache::get(const CacheKey& key)
+std::optional<SolutionCache::Hit> SolutionCache::get(const CacheKey& key)
 {
     if (!enabled())
         return std::nullopt;
@@ -37,36 +37,13 @@ std::optional<core::ScheduleResult> SolutionCache::get(const CacheKey& key)
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++shard.hits;
-    core::ScheduleResult result = it->second->result;
-    result.cache_hit = true;
-    return result;
-}
-
-std::optional<SolutionCache::PlannedHit> SolutionCache::get_planned(const CacheKey& key)
-{
-    if (!enabled())
-        return std::nullopt;
-    Shard& shard = shard_for(hash_key(key));
-    std::lock_guard lock{shard.mutex};
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        ++shard.misses;
-        return std::nullopt;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.hits;
-    PlannedHit hit{it->second->result, it->second->plan};
+    Hit hit{it->second->result, it->second->plan};
     hit.result.cache_hit = true;
     return hit;
 }
 
-void SolutionCache::put(const CacheKey& key, const core::ScheduleResult& result)
-{
-    put_planned(key, result, nullptr);
-}
-
-void SolutionCache::put_planned(const CacheKey& key, const core::ScheduleResult& result,
-                                std::shared_ptr<const plan::ExecutionPlan> plan)
+void SolutionCache::put(const CacheKey& key, const core::ScheduleResult& result,
+                        std::shared_ptr<const plan::ExecutionPlan> plan)
 {
     if (!enabled())
         return;
@@ -75,7 +52,7 @@ void SolutionCache::put_planned(const CacheKey& key, const core::ScheduleResult&
     if (const auto it = shard.index.find(key); it != shard.index.end()) {
         it->second->result = result;
         it->second->result.cache_hit = false;
-        if (plan != nullptr) // refresh keeps an already-attached plan
+        if (plan != nullptr) // a refresh keeps an already-stored plan
             it->second->plan = std::move(plan);
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         return;
@@ -88,17 +65,6 @@ void SolutionCache::put_planned(const CacheKey& key, const core::ScheduleResult&
         shard.lru.pop_back();
         ++shard.evictions;
     }
-}
-
-void SolutionCache::attach_plan(const CacheKey& key,
-                                std::shared_ptr<const plan::ExecutionPlan> plan)
-{
-    if (!enabled())
-        return;
-    Shard& shard = shard_for(hash_key(key));
-    std::lock_guard lock{shard.mutex};
-    if (const auto it = shard.index.find(key); it != shard.index.end())
-        it->second->plan = std::move(plan);
 }
 
 CacheStats SolutionCache::stats() const

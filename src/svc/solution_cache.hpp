@@ -1,5 +1,6 @@
 #pragma once
-// Sharded LRU cache of schedule results.
+// Sharded LRU cache of schedule results, each with the execution plan
+// compiled from it once a solve_planned call has asked for one.
 //
 // The key is the full identity of a solve: the chain's two independent
 // 64-bit digests (FNV-1a and splitmix64 over weights + replicability flags,
@@ -11,7 +12,9 @@
 //
 // Sharding: the key hash selects one of `shards` independent LRU maps, each
 // behind its own mutex, so concurrent workers rarely contend. Capacity is
-// split evenly across shards; eviction is strict LRU per shard.
+// split evenly across shards; eviction is strict LRU per shard. Two entry
+// points: get() returns the result and its stored plan, put() stores a
+// result with or without one.
 
 #include "core/scheduler.hpp"
 
@@ -24,7 +27,7 @@
 #include <vector>
 
 namespace amp::plan {
-class ExecutionPlan; // entries may carry a compiled plan (see get_planned)
+class ExecutionPlan; // entries may carry a compiled plan (see SolutionCache::Hit)
 }
 
 namespace amp::svc {
@@ -108,7 +111,7 @@ struct CacheStats {
     }
 };
 
-/// Thread-safe sharded LRU map CacheKey -> ScheduleResult.
+/// Thread-safe sharded LRU map CacheKey -> (ScheduleResult, compiled plan).
 class SolutionCache {
 public:
     /// `capacity` is the total entry budget, split evenly across `shards`.
@@ -120,34 +123,24 @@ public:
     SolutionCache(const SolutionCache&) = delete;
     SolutionCache& operator=(const SolutionCache&) = delete;
 
-    /// Returns the cached result (cache_hit already set) or nullopt.
-    [[nodiscard]] std::optional<core::ScheduleResult> get(const CacheKey& key);
-
-    /// A hit that also carries the entry's compiled execution plan, when one
-    /// has been admitted (null otherwise). The plan is shared, immutable and
-    /// identical across hits -- svc::solve_planned returns it with zero
-    /// compile work.
-    struct PlannedHit {
+    /// A hit: the stored result (cache_hit set) and the compiled plan
+    /// stored with it, null when it was stored without one. The plan is
+    /// shared, immutable and identical across hits -- svc::solve_planned
+    /// returns it with zero compile work.
+    struct Hit {
         core::ScheduleResult result;
         std::shared_ptr<const plan::ExecutionPlan> plan;
     };
 
-    /// Like get(), but also returns the compiled plan stored with the entry
-    /// (null when the result was admitted without one).
-    [[nodiscard]] std::optional<PlannedHit> get_planned(const CacheKey& key);
+    /// The entry under `key`, or nullopt on a miss (always when disabled).
+    [[nodiscard]] std::optional<Hit> get(const CacheKey& key);
 
     /// Inserts or refreshes `result` under `key`, evicting the shard's LRU
-    /// entry when full. A refresh keeps any compiled plan already attached
-    /// to the entry (the result is bit-identical for an equal key).
-    void put(const CacheKey& key, const core::ScheduleResult& result);
-
-    /// put() that also stores the compiled plan alongside the result.
-    void put_planned(const CacheKey& key, const core::ScheduleResult& result,
-                     std::shared_ptr<const plan::ExecutionPlan> plan);
-
-    /// Attaches a compiled plan to an existing entry (no-op when the entry
-    /// has been evicted meanwhile).
-    void attach_plan(const CacheKey& key, std::shared_ptr<const plan::ExecutionPlan> plan);
+    /// entry when full. A non-null `plan` is stored with the result; a
+    /// null one keeps the plan a refreshed entry already holds (the result
+    /// is bit-identical for an equal key).
+    void put(const CacheKey& key, const core::ScheduleResult& result,
+             std::shared_ptr<const plan::ExecutionPlan> plan = nullptr);
 
     [[nodiscard]] CacheStats stats() const;
     [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
@@ -159,7 +152,7 @@ private:
     struct Entry {
         CacheKey key;
         core::ScheduleResult result;
-        std::shared_ptr<const plan::ExecutionPlan> plan; ///< null until attached
+        std::shared_ptr<const plan::ExecutionPlan> plan; ///< null until one is put
     };
 
     struct KeyHasher {

@@ -3,23 +3,28 @@
 //
 // SolverService turns the synchronous core::schedule(ScheduleRequest) API
 // into a serving layer: batches of independent requests are solved in
-// parallel by a pool of workers (work-stealing over bounded per-worker
-// deques), and every result is memoized in a sharded LRU cache keyed by
-// (chain fingerprint, strategy, resources, options) -- see
-// svc/solution_cache.hpp. Sweep-style callers (benchmark grids, the
+// parallel by a pool of workers, and every result is memoized in a sharded
+// LRU cache keyed by (chain fingerprint, strategy, resources, options) --
+// see svc/solution_cache.hpp. Sweep-style callers (benchmark grids, the
 // energy-aware MODCOD sweeps, online rescheduling) that re-solve the same
 // (chain, resources) pairs get cached, bit-identical solutions in
 // microseconds instead of re-running the solver.
 //
-// Concurrency model: submit_batch distributes jobs round-robin across the
-// worker deques; workers pop their own deque from the front and steal from
-// the back of a victim's when empty; the submitting thread participates in
-// draining its own batch instead of blocking, so a single-threaded service
-// (workers = 1 on a small machine) is never slower than a sequential loop.
-// When every deque is full the submitter solves the job inline
-// (backpressure instead of unbounded queue growth). stop() answers every
-// job still queued with ScheduleError::rejected, so no caller ever hangs
-// on a stopped service.
+// Concurrency model: one FIFO of open batches behind one mutex; idle
+// workers wait on one condition variable, submitters for their batch on
+// another. A batch lives on its submitter's stack. Workers claim request
+// indices from the oldest open batch, the submitter claims from its own
+// (so workers = 1 is never slower than a sequential loop), and the claim
+// that takes a batch's last index unlinks it. solve_batch returns once it
+// reads finished == size under the mutex. After stop() the workers exit
+// and each submitter claims the rest of its own batch, which the solve
+// path answers with ScheduleError::rejected, so no caller hangs on a
+// stopped service.
+//
+// One solve path serves solve(), solve_planned() and batch requests: stop
+// check, cache lookup, solve on a miss, compile when a plan is asked for
+// and the entry has none for those PlanOptions, store without the
+// warm-start frontier.
 //
 // Telemetry: per-strategy cache hit/miss counters and solve-latency
 // histograms are recorded into an obs::MetricsRegistry (an injected one or
@@ -33,6 +38,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -59,9 +65,6 @@ struct ServiceConfig {
     /// Total cached entries across all shards; 0 disables caching.
     std::size_t cache_capacity = 8192;
     std::size_t cache_shards = 16;
-    /// Bounded per-worker deque capacity; submitters solve inline when the
-    /// queues are full.
-    std::size_t queue_capacity = 256;
     /// Metrics sink; the service owns a private registry when null.
     obs::MetricsRegistry* metrics = nullptr;
 };
@@ -90,17 +93,17 @@ public:
                                                 plan::PlanOptions options = {});
 
     /// Solves a batch of independent requests, in parallel across the
-    /// worker pool; the calling thread helps drain the batch. Results are
-    /// aligned with `requests`. Thread-safe: concurrent batches interleave.
+    /// worker pool; the calling thread helps solve its own batch. Results
+    /// are aligned with `requests`. Thread-safe: concurrent batches are
+    /// served oldest first.
     [[nodiscard]] std::vector<core::ScheduleResult>
     solve_batch(const std::vector<core::ScheduleRequest>& requests);
 
-    /// Cooperative shutdown: stops the workers, then completes every job
-    /// still queued with ScheduleError::rejected, so no solve_batch caller
-    /// is ever left waiting on its batch condvar. Submissions racing (or
-    /// following) stop() resolve the same way. Idempotent and thread-safe;
-    /// concurrent callers block until the first finishes. The destructor
-    /// calls it.
+    /// Cooperative shutdown: stops and joins the workers. Every request
+    /// not yet solved -- queued in an open batch, racing stop() or
+    /// following it -- is answered with ScheduleError::rejected, so no
+    /// caller is left waiting. Idempotent and thread-safe; concurrent
+    /// callers block until the first finishes. The destructor calls it.
     void stop();
     [[nodiscard]] bool stopped() const noexcept
     {
@@ -118,50 +121,27 @@ public:
     void clear_cache() { cache_.clear(); }
 
 private:
-    /// Completion state of one solve_batch call, stack-allocated by the
-    /// submitter. Lifetime protocol: workers decrement `remaining` and
-    /// notify `done` while holding `mutex`, and the submitter only treats
-    /// the batch as complete after observing remaining == 0 under the same
-    /// mutex — so the last worker is guaranteed to have released the Batch
-    /// before the submitter can return and destroy it.
+    /// One solve_batch call, on its submitter's stack. `next` and
+    /// `finished` are guarded by mutex_; a request slot belongs to whoever
+    /// claimed its index.
     struct Batch {
-        std::mutex mutex;
-        std::condition_variable done;
-        std::atomic<std::size_t> remaining{0};
-    };
-
-    struct Job {
-        const core::ScheduleRequest* request = nullptr;
-        core::ScheduleResult* result = nullptr;
-        Batch* batch = nullptr;
-    };
-
-    /// Bounded mutex-guarded deque: owner pops the front, thieves steal the
-    /// back. Small and simple; the solver calls it guards cost orders of
-    /// magnitude more than the lock.
-    struct WorkDeque {
-        std::mutex mutex;
-        std::vector<Job> jobs; ///< ring buffer of `capacity` slots
-        std::size_t head = 0;  ///< next pop position
-        std::size_t count = 0;
+        const core::ScheduleRequest* requests = nullptr;
+        core::ScheduleResult* results = nullptr;
+        std::size_t size = 0;
+        std::size_t next = 0;     ///< requests claimed
+        std::size_t finished = 0; ///< requests answered
     };
 
     void worker_loop(std::size_t worker_index);
-    [[nodiscard]] bool try_pop(std::size_t worker_index, Job& out);
-    [[nodiscard]] bool try_steal(std::size_t thief_index, Job& out);
-    [[nodiscard]] bool try_push(std::size_t worker_index, const Job& job);
-    void run_job(const Job& job, std::size_t worker_index);
-    void finish_batch_job(const Job& job);
-    [[nodiscard]] core::ScheduleResult solve_on(const core::ScheduleRequest& request,
-                                                std::size_t worker_index);
-    /// Runs the solver for an exact miss and records the solve.
-    [[nodiscard]] core::ScheduleResult solve_miss(const core::ScheduleRequest& request,
-                                                  std::size_t worker_index);
-    /// Caches `result` (and `plan`, when non-null) under `key`.
-    void memoize(const CacheKey& key, const core::ScheduleResult& result,
-                 std::shared_ptr<const plan::ExecutionPlan> plan);
-    /// Completes every job still queued with ScheduleError::rejected.
-    void drain_rejected();
+    /// Takes `batch`'s next request index, from the back: sweeps list their
+    /// grids smallest resource vector first, so the slowest solves start
+    /// first and fewer are left for the batch's tail. The claim that takes
+    /// the last index unlinks the batch from open_. Caller holds mutex_.
+    [[nodiscard]] std::size_t claim(Batch& batch);
+    /// The one solve path; compiles a plan only when `plan_options` is set.
+    /// `shard` picks the metric counter slot (a worker's index).
+    [[nodiscard]] PlannedSchedule serve(const core::ScheduleRequest& request,
+                                        const plan::PlanOptions* plan_options, std::size_t shard);
 
     ServiceConfig config_;
     SolutionCache cache_;
@@ -178,13 +158,13 @@ private:
     };
     std::vector<StrategyInstruments> instruments_; ///< indexed by Strategy
 
-    std::vector<std::unique_ptr<WorkDeque>> deques_;
-    std::vector<std::thread> threads_;
-    std::mutex sleep_mutex_;
-    std::condition_variable work_ready_;
+    std::mutex mutex_;
+    std::condition_variable work_;    ///< workers: a batch opened, or stop
+    std::condition_variable done_;    ///< submitters: a batch finished
+    std::deque<Batch*> open_;         ///< batches with unclaimed requests, oldest first
     std::atomic<bool> stop_{false};
     std::once_flag stop_once_;
-    std::atomic<std::size_t> next_deque_{0};
+    std::vector<std::thread> threads_;
 };
 
 /// Process-wide service with the default configuration, constructed on

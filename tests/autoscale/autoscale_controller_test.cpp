@@ -134,19 +134,6 @@ TEST(AutoscaleController, ShrinkCandidatesKeepLegacyOrderByDefault)
     EXPECT_EQ(AutoscaleController::shrink_candidates(policy, {0, 1}).count, 0);
 }
 
-TEST(AutoscaleController, StepLargerThanOneMovesMultipleCores)
-{
-    AutoscalePolicy policy = test_policy();
-    policy.step = 2;
-    EXPECT_EQ(AutoscaleController::stepped(policy, {2, 2}, ScaleDecision::grow),
-              (Resources{2, 4}));
-    EXPECT_EQ(AutoscaleController::stepped(policy, {2, 3}, ScaleDecision::grow),
-              (Resources{2, 4}))
-        << "a partial step up to the clamp still counts";
-    EXPECT_EQ(AutoscaleController::stepped(policy, {2, 2}, ScaleDecision::shrink),
-              (Resources{0, 2}));
-}
-
 // ---------------------------------------------------------------------------
 // dsim replay
 

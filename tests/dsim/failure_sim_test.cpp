@@ -235,6 +235,39 @@ TEST(FailureSim, ReportsUnschedulableWhenNoCoreRemains)
     EXPECT_EQ(metrics.gauges.at(obs::schema::kRunFps), result.fps);
 }
 
+// Each loss drops the frame its core held: two losses due at one frame drop
+// that frame and the next, so every frame of the run is either delivered or
+// dropped, never both.
+TEST(FailureSim, SameFrameLossesEachDropTheirOwnFrame)
+{
+    const core::TaskChain chain = make_chain(4);
+    const core::Resources budget{3, 3};
+    const core::Solution solution =
+        core::schedule(core::ScheduleRequest{chain, budget, core::Strategy::herad}).solution;
+    ASSERT_FALSE(solution.empty());
+
+    obs::Sink sink{obs::SinkConfig{.metrics = true, .trace = false}};
+    auto config = small_config();
+    config.frames = 1000;
+    config.sink = &sink;
+    config.faults.budget = budget;
+    config.faults.failures = {dsim::SimFailure{500, 0}, dsim::SimFailure{500, 0}};
+
+    const auto result = dsim::simulate(chain, solution, config);
+    EXPECT_TRUE(result.schedulable);
+    ASSERT_EQ(result.recoveries.size(), 2u);
+    EXPECT_EQ(result.recoveries[0].frame, 500u);
+    EXPECT_EQ(result.recoveries[1].frame, 501u);
+    for (const dsim::RecoveryRecord& record : result.recoveries)
+        EXPECT_EQ(record.frames_dropped, 1u);
+    EXPECT_EQ(result.frames_dropped, 2u);
+
+    const obs::MetricsSnapshot metrics = sink.metrics().snapshot();
+    EXPECT_EQ(metrics.counters.at(obs::schema::kFramesDelivered)
+                  + metrics.counters.at(obs::schema::kFramesDropped),
+              1000u);
+}
+
 TEST(FailureSim, RejectsMalformedFaultInput)
 {
     // Two branches of two tasks each, the first feeding the second: a graph

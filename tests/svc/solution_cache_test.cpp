@@ -94,9 +94,9 @@ TEST(SolutionCache, GetReturnsPutResultWithHitFlag)
 
     const auto cached = cache.get(key);
     ASSERT_TRUE(cached.has_value());
-    EXPECT_TRUE(cached->cache_hit);
-    EXPECT_EQ(cached->solution, solved.solution);
-    EXPECT_EQ(cached->error, solved.error);
+    EXPECT_TRUE(cached->result.cache_hit);
+    EXPECT_EQ(cached->result.solution, solved.solution);
+    EXPECT_EQ(cached->result.error, solved.error);
 
     const svc::CacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);

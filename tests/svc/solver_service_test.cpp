@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -160,7 +161,7 @@ TEST(SolverService, ZeroWorkerConfigFallsBackToHardware)
 // concurrently; every result must still match a fresh sequential solve.
 TEST(SolverService, ConcurrentBatchesFromManyThreads)
 {
-    svc::SolverService service{{.workers = 2, .queue_capacity = 8}};
+    svc::SolverService service{{.workers = 2}};
     const auto chains = random_chains(8, 1234);
     std::vector<core::ScheduleRequest> requests;
     for (const auto& chain : chains)
@@ -198,7 +199,7 @@ TEST(SolverService, ConcurrentBatchesFromManyThreads)
 // request actually flows through the worker pool. Caught under TSan.
 TEST(SolverService, TinyBatchChurnStressesBatchLifetime)
 {
-    svc::SolverService service{{.workers = 4, .cache_capacity = 0, .queue_capacity = 2}};
+    svc::SolverService service{{.workers = 4, .cache_capacity = 0}};
     const auto chains = random_chains(2, 99);
     constexpr int kSubmitters = 4;
     std::vector<std::thread> submitters;
@@ -220,6 +221,77 @@ TEST(SolverService, TinyBatchChurnStressesBatchLifetime)
         thread.join();
     for (int t = 0; t < kSubmitters; ++t)
         EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0) << "submitter " << t;
+}
+
+// Seeded exactly-once oracle for the batch queue. With the cache off every
+// solve is one miss, so the summed miss counters equal the requests sent
+// only if each request index is claimed and solved exactly once; every
+// answer must also equal a fresh core::schedule of its own request.
+TEST(SolverService, SeededBatchesSolveEveryRequestExactlyOnce)
+{
+    std::vector<core::ScheduleRequest> pool;
+    std::vector<core::ScheduleResult> expected;
+    for (const auto& chain : random_chains(8, 2024)) {
+        for (const core::Strategy strategy : core::kAllStrategies) {
+            pool.push_back(core::ScheduleRequest{chain, {3, 2}, strategy});
+            expected.push_back(core::schedule(pool.back()));
+        }
+    }
+    const auto pick = [](Rng& rng, std::int64_t lo, std::int64_t hi) {
+        return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+    };
+
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng{seed};
+        const std::size_t workers = pick(rng, 1, 4);
+        const std::size_t submitters = pick(rng, 1, 4);
+        // batches[t][b] lists the pool indices of submitter t's batch b.
+        std::vector<std::vector<std::vector<std::size_t>>> batches(submitters);
+        std::uint64_t sent = 0;
+        for (auto& mine : batches) {
+            mine.resize(pick(rng, 2, 5));
+            for (auto& batch : mine) {
+                batch.resize(pick(rng, 0, 12));
+                for (std::size_t& index : batch)
+                    index = pick(rng, 0, static_cast<std::int64_t>(pool.size()) - 1);
+                sent += batch.size();
+            }
+        }
+
+        svc::SolverService service{
+            {.workers = static_cast<int>(workers), .cache_capacity = 0}};
+        std::vector<int> wrong(submitters, 0);
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < submitters; ++t) {
+            threads.emplace_back([&, t] {
+                for (const auto& batch : batches[t]) {
+                    std::vector<core::ScheduleRequest> requests;
+                    for (const std::size_t index : batch)
+                        requests.push_back(pool[index]);
+                    const auto results = service.solve_batch(requests);
+                    if (results.size() != batch.size()) {
+                        ++wrong[t];
+                        continue;
+                    }
+                    for (std::size_t i = 0; i < batch.size(); ++i)
+                        if (results[i].solution != expected[batch[i]].solution
+                            || results[i].error != expected[batch[i]].error)
+                            ++wrong[t];
+                }
+            });
+        }
+        for (auto& thread : threads)
+            thread.join();
+
+        const auto snapshot = service.metrics().snapshot();
+        std::uint64_t misses = 0;
+        for (const core::Strategy strategy : core::kAllStrategies)
+            misses += snapshot.counters.at(std::string{"amp_svc_cache_misses{strategy=\""}
+                                           + core::to_key(strategy) + "\"}");
+        EXPECT_EQ(misses, sent) << "seed " << seed;
+        for (std::size_t t = 0; t < submitters; ++t)
+            EXPECT_EQ(wrong[t], 0) << "seed " << seed << ", submitter " << t;
+    }
 }
 
 // The plan-aware cache: a solve_planned hit returns the SAME immutable
@@ -316,7 +388,6 @@ TEST(SolverService, ShutdownChurnNeverHangsOrDropsResults)
         svc::SolverService service{{
             .workers = 2,
             .cache_capacity = 0,
-            .queue_capacity = 4,
         }};
         std::atomic<bool> quit{false};
         std::atomic<std::uint64_t> bad{0};
