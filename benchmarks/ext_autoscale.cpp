@@ -10,15 +10,15 @@
 //      median speedup >= 10x across the sweep at n = 64.
 //
 //   2. Controller tracking. dsim::simulate_autoscale replays the real
-//      AutoscaleController + warm solver against a step profile (idle ->
+//      rt::Controller load step against a step profile (idle ->
 //      3x capacity -> idle) and a full sine sweep. Reported: grows,
 //      shrinks, warm fraction, mean tracking error and the minimum gap
 //      between actions (>= the cooldown = no flapping).
 //
 //   3. Live resize. A real rt::Pipeline streams frames while an
-//      rt::Autoscaler lands a grow and a shrink as frame-granular
-//      in-flight swaps. Reported: frames delivered/dropped (must be 0)
-//      and the autoscaler's counters.
+//      rt::Controller bound to it lands a grow and a shrink as
+//      frame-granular in-flight swaps. Reported: frames delivered/dropped
+//      (must be 0) and what the landed steps did.
 //
 // Flags: --tasks=N chain size of scenario 1 (default 64), --pool=K big and
 // little cores of scenario 1 (default 12), --reps=N timing repetitions
@@ -31,7 +31,7 @@
 #include "common/table.hpp"
 #include "core/scheduler.hpp"
 #include "dsim/simulator.hpp"
-#include "rt/autoscaler.hpp"
+#include "rt/controller.hpp"
 #include "rt/pipeline.hpp"
 #include "sim/generator.hpp"
 #include "support/bench_json.hpp"
@@ -228,7 +228,7 @@ int main(int argc, char** argv)
     std::printf("%s\n", track_table.str().c_str());
 
     // -- scenario 3: live resize on a real pipeline ------------------------
-    std::printf("== Live resize: rt::Autoscaler on a streaming pipeline ==\n");
+    std::printf("== Live resize: rt::Controller on a streaming pipeline ==\n");
     const core::TaskChain live_chain = resize_only_chain();
     svc::SolverService service{svc::ServiceConfig{}};
     const svc::PlannedSchedule initial_plan = service.solve_planned(
@@ -248,30 +248,44 @@ int main(int argc, char** argv)
                                                 }));
     rt::Pipeline<Frame> pipeline{sequence, *initial_plan.plan, rt::PipelineConfig{}};
 
-    rt::AutoscalerConfig autoscale_config;
-    autoscale_config.policy.patience = 2;
-    autoscale_config.policy.cooldown_ns = 0;
-    autoscale_config.policy.min_pool = {0, 2};
-    autoscale_config.policy.max_pool = {0, 4};
-    autoscale_config.policy.grow_first = core::CoreType::little;
-    autoscale_config.service = &service;
-    rt::Autoscaler<Frame> autoscaler{pipeline, live_chain, {0, 3}, autoscale_config};
+    rt::ControlConfig control;
+    control.policy.patience = 2;
+    control.policy.cooldown_ns = 0;
+    control.policy.min_pool = {0, 2};
+    control.policy.max_pool = {0, 4};
+    control.policy.grow_first = core::CoreType::little;
+    control.service = &service;
+    // The construction solve hits the cache entry of initial_plan; it is
+    // no load step, so it stays out of the counts below.
+    rt::Controller controller{live_chain, {0, 3}, control};
+    rt::PipelineControl<Frame> binding{controller, pipeline};
 
-    // Feeds are issued from the output thread, so both land mid-segment by
-    // construction: a grow a quarter into the stream, a shrink at half.
+    // Load steps are issued from the output thread, so both land
+    // mid-segment by construction: a grow a quarter into the stream, a
+    // shrink at half.
+    struct {
+        std::uint64_t grows = 0, shrinks = 0, frame_swaps = 0, warm_solves = 0;
+    } live;
+    const auto step = [&](double utilization, std::int64_t now_ns) {
+        const rt::ControlRecord record = controller.load(utilization, now_ns);
+        if (record.after == record.before)
+            return;
+        ++(record.decision == rt::ScaleDecision::grow ? live.grows : live.shrinks);
+        live.frame_swaps += record.swap == plan::SwapOutcome::frame ? 1 : 0;
+        live.warm_solves += record.warm ? 1 : 0;
+    };
     std::uint64_t delivered = 0;
     const rt::RunResult run = pipeline.run(frames, [&](Frame&) {
         ++delivered;
         if (delivered == frames / 4) {
-            (void)autoscaler.feed(1.5, 1);
-            (void)autoscaler.feed(1.5, 2); // grow
+            step(1.5, 1);
+            step(1.5, 2); // grow
         } else if (delivered == frames / 2) {
-            (void)autoscaler.feed(0.1, 3);
-            (void)autoscaler.feed(0.1, 4); // shrink
+            step(0.1, 3);
+            step(0.1, 4); // shrink
         }
     });
 
-    const rt::AutoscalerStats live = autoscaler.stats();
     const bool live_pass = run.frames == frames && run.frames_dropped == 0
                            && live.frame_swaps >= 2 && live.grows >= 1 && live.shrinks >= 1;
     std::printf("frames %llu delivered %llu dropped %llu | grows %llu shrinks %llu "

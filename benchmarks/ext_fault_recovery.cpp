@@ -1,11 +1,11 @@
 // Extension bench: online recovery from a permanent core loss. A real
 // pipeline runs with the watchdog armed; mid-stream a kill fault takes out
 // the sequential source stage's only worker. The watchdog fences it, the
-// Rescheduler recomputes on the reduced resource vector and run_with_recovery
-// lands the new schedule. We measure delivered throughput in three windows
-// -- before the failure, during recovery (detection -> first resumed frame)
-// and after -- plus the model's predicted period for the healthy and
-// degraded schedules.
+// rt::Controller's loss step re-solves on the reduced resource vector and
+// run_with_recovery lands the new schedule. We measure delivered
+// throughput in three windows -- before the failure, during recovery
+// (detection -> first resumed frame) and after -- plus the model's
+// predicted period for the healthy and degraded schedules.
 //
 // A second scenario compares the two paths a loss can take, each on the
 // chain that takes it by itself. On R = (0, 4) an all-little chain keeps
@@ -27,8 +27,8 @@
 #include "common/argparse.hpp"
 #include "common/table.hpp"
 #include "core/scheduler.hpp"
+#include "rt/controller.hpp"
 #include "rt/fault.hpp"
-#include "rt/rescheduler.hpp"
 #include "support/bench_json.hpp"
 
 #include <chrono>
@@ -74,8 +74,8 @@ int main(int argc, char** argv)
     const core::TaskChain chain{std::move(descs)};
     const core::Resources budget{3, 2};
 
-    rt::Rescheduler rescheduler{chain, budget};
-    const core::Solution healthy = rescheduler.solution();
+    rt::Controller controller{chain, budget};
+    const core::Solution healthy = controller.solution();
 
     rt::FaultInjector injector;
     injector.add(rt::FaultSpec{rt::FaultKind::kill, kill_at, 0, 0, 1, milliseconds{0}});
@@ -97,7 +97,7 @@ int main(int argc, char** argv)
     stamps.reserve(static_cast<std::size_t>(frames));
     const auto t0 = std::chrono::steady_clock::now();
     const rt::RecoveryReport report = rt::run_with_recovery<Frame>(
-        sequence, rescheduler, frames, config,
+        sequence, controller, frames, config,
         [&](Frame&) {
             stamps.push_back(
                 std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
@@ -139,8 +139,8 @@ int main(int argc, char** argv)
                 static_cast<unsigned long long>(report.total.frames_dropped),
                 static_cast<unsigned long long>(frames));
     std::printf("degraded schedule: %s on R = (%d, %d) (model period %.0f us)\n",
-                degraded.decomposition().c_str(), rescheduler.resources().big,
-                rescheduler.resources().little, degraded.period(chain));
+                degraded.decomposition().c_str(), controller.budget().big,
+                controller.budget().little, degraded.period(chain));
     std::printf("\nThe after-loss fps should track the degraded model period. Windows split\n"
                 "at detection: the silent dead-time before the watchdog fences the worker\n"
                 "(up to the %lld ms heartbeat timeout) drags down the before-loss fps.\n",
@@ -186,7 +186,7 @@ int main(int argc, char** argv)
                     rt::make_task<Frame>("t" + std::to_string(i), i == 1, [task_us](Frame&) {
                         std::this_thread::sleep_for(microseconds{task_us});
                     }));
-            rt::Rescheduler path_rescheduler{path_chain, path_budget};
+            rt::Controller path_controller{path_chain, path_budget};
             rt::FaultInjector path_injector;
             path_injector.add(
                 rt::FaultSpec{rt::FaultKind::kill, kill_at, 0, 0, 1, milliseconds{0}});
@@ -194,7 +194,7 @@ int main(int argc, char** argv)
             path_config.faults = &path_injector;
             path_config.heartbeat_timeout = milliseconds{100};
             const rt::RecoveryReport r = rt::run_with_recovery<Frame>(
-                path_sequence, path_rescheduler, frames, path_config);
+                path_sequence, path_controller, frames, path_config);
             if (r.recoveries != 1 || !r.completed || r.frame_swaps != (frame_swap ? 1 : 0)
                 || r.rebuild_swaps != (frame_swap ? 0 : 1)) {
                 ++best.off_path;

@@ -21,10 +21,10 @@
 //      second tenant competes for the same 4 big cores. Mid-stream the
 //      pipeline tenant's weight is raised 1 -> 3; the arbiter
 //      re-arbitrates, the budget change compiles to a resize-only plan
-//      change and reaches the running pipeline through
-//      rt::PipelineTenantEndpoint (one Pipeline::retarget) as a
-//      frame-granular in-flight swap: no drain, no dropped frame, the
-//      spawned replica joins the live segment.
+//      change and reaches the running pipeline as a grant to its
+//      rt::Controller, bound by rt::PipelineControl (one
+//      Pipeline::retarget), as a frame-granular in-flight swap: no drain,
+//      no dropped frame, the spawned replica joins the live segment.
 //
 // Flags: --horizon-ms=N virtual window of scenario 1 (default 1000),
 // --demand-util=F demand as a fraction of each tenant's fair rate
@@ -36,9 +36,9 @@
 #include "common/argparse.hpp"
 #include "common/table.hpp"
 #include "dsim/simulator.hpp"
+#include "rt/controller.hpp"
 #include "rt/pipeline.hpp"
 #include "rt/task.hpp"
-#include "rt/tenant_endpoint.hpp"
 #include "support/bench_json.hpp"
 #include "svc/solver_service.hpp"
 
@@ -252,7 +252,10 @@ int main(int argc, char** argv)
                                                 }));
     const arb::TenantStatus before = arbiter.status(live_id);
     rt::Pipeline<Frame> pipeline{sequence, *before.planned.plan, rt::PipelineConfig{}};
-    rt::PipelineTenantEndpoint<Frame> endpoint{pipeline};
+    rt::ControlConfig control;
+    control.service = &service;
+    rt::Controller controller{live_chain, before.budget, control};
+    rt::PipelineControl<Frame> endpoint{controller, pipeline};
     arbiter.bind_endpoint(live_id, &endpoint);
 
     // The reweight is issued from the output thread after frame 10, so it

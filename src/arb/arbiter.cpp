@@ -285,13 +285,12 @@ ArbitrationReport Arbiter::rearbitrate_locked()
             tenant.budget = granted.budget;
             svc::PlannedSchedule next;
             if (granted.budget.total() > 0)
-                next = service().solve_planned(request_for(tenant, granted.budget),
-                                              config_.plan_options);
+                next = service().solve_planned(request_for(tenant, granted.budget));
             if (next.ok()) {
                 if (tenant.planned.plan != nullptr)
                     change.delta = plan::diff(*tenant.planned.plan, *next.plan);
                 if (tenant.endpoint != nullptr) {
-                    change.swap = tenant.endpoint->apply(*next.plan);
+                    change.swap = tenant.endpoint->apply(granted.budget, next);
                     switch (change.swap) {
                     case plan::SwapOutcome::frame: ++frame_swaps; break;
                     case plan::SwapOutcome::rebuild_required: ++rebuilds; break;

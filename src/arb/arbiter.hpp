@@ -11,8 +11,9 @@
 // water-filling on each tenant's period-vs-budget curve, probed via batched
 // solve_batch calls through the service's solution cache), solves every
 // tenant's chain on its granted budget, and pushes the resulting
-// plan::ExecutionPlan to the tenant's live executor (TenantEndpoint::apply,
-// one rt::Pipeline::retarget), which reports a plan::SwapOutcome:
+// plan::ExecutionPlan to the tenant's live executor (TenantEndpoint::apply:
+// an rt::Controller grant, one rt::Pipeline::retarget), which reports a
+// plan::SwapOutcome:
 //
 //   * budget unchanged            -> nothing pushed (SwapOutcome::none)
 //   * resize-only change          -> frame: swapped in place, no drain
@@ -42,18 +43,22 @@
 
 namespace amp::arb {
 
-/// Type-erased handle to a tenant's live executor. rt::PipelineTenantEndpoint
-/// adapts rt::Pipeline<T>; tests inject fakes. Calls arrive on the thread
-/// that invoked Arbiter::rearbitrate(), serialized by the arbiter's lock.
+/// Type-erased handle to a tenant's live executor. rt::PipelineControl
+/// binds one rt::Pipeline<T> through its rt::Controller; tests inject
+/// fakes. Calls arrive on the thread that invoked Arbiter::rearbitrate(),
+/// under the arbiter's lock: an endpoint must not call back into the
+/// arbiter from apply.
 class TenantEndpoint {
 public:
     virtual ~TenantEndpoint() = default;
 
-    /// Retargets the executor onto `next` and reports how it landed. The
-    /// executor diffs `next` against the plan it actually runs;
+    /// Takes the granted `budget` and the plan already solved for it,
+    /// retargets the executor onto `next.plan` and reports how it landed.
+    /// The executor diffs the plan against the one it actually runs;
     /// rebuild_required means it could not take the change now and is
     /// untouched.
-    [[nodiscard]] virtual plan::SwapOutcome apply(const plan::ExecutionPlan& next) = 0;
+    [[nodiscard]] virtual plan::SwapOutcome apply(core::Resources budget,
+                                                  const svc::PlannedSchedule& next) = 0;
 };
 
 struct ArbiterConfig {
@@ -62,8 +67,6 @@ struct ArbiterConfig {
     AllocPolicy policy = AllocPolicy::weighted_max_min;
     /// Solver service for probes and plan solves; null = svc::shared_service().
     svc::SolverService* service = nullptr;
-    /// Queue capacity baked into every tenant plan.
-    plan::PlanOptions plan_options{};
     /// Metrics registry for the amp_arb_* instruments; null = the service's.
     obs::MetricsRegistry* metrics = nullptr;
 };
@@ -138,14 +141,14 @@ public:
     void set_weight(TenantId id, double weight);
 
     /// Replaces the tenant's chain (e.g. after drift re-profiling by
-    /// rt::Rescheduler rebuilt the weights); next rearbitrate() re-solves
-    /// on the new chain.
+    /// rt::Controller::observe rebuilt the weights); next rearbitrate()
+    /// re-solves on the new chain.
     void update_chain(TenantId id, core::TaskChain chain);
 
     /// Replaces the tenant's quota bounds (throws std::out_of_range on an
     /// unknown id, std::invalid_argument on a negative min). This is how an
     /// autoscaling tenant opts in to returning cores to the shared pool:
-    /// rt::Autoscaler's on_resize hook lowers the cap to the shrunken
+    /// rt::Controller's on_resize hook lowers the cap to the shrunken
     /// budget and the next rearbitrate() redistributes the freed cores.
     void set_quota(TenantId id, TenantQuota quota);
 

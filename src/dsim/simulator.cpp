@@ -1,7 +1,6 @@
 #include "dsim/simulator.hpp"
 
 #include "obs/schema.hpp"
-#include "rt/rescheduler.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -159,14 +158,23 @@ SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfi
     std::vector<SimFailure> pending = faults.failures;
     std::stable_sort(pending.begin(), pending.end(),
                      [](const SimFailure& a, const SimFailure& b) { return a.frame < b.frame; });
-    // The rescheduler mirrors the runtime's recovery decisions: same chain,
-    // same degraded resource vector, same warm HeRAD re-solve.
-    std::optional<rt::Rescheduler> rescheduler;
-    if (!pending.empty())
-        rescheduler.emplace(plan.chain(), faults.budget);
-
     const plan::ExecutionPlan* current = &plan;
-    std::optional<plan::ExecutionPlan> replanned; // owns *current after a loss
+    std::shared_ptr<const plan::ExecutionPlan> replanned; // owns *current after a loss
+    // The runtime's own controller takes each loss: same chain, same
+    // degraded resource vector, same warm HeRAD re-solve. Its land step
+    // applies Pipeline::retarget's rule -- a resize-only plan::diff against
+    // the running plan swaps in place (no drain), anything else rebuilds.
+    std::optional<rt::Controller> controller;
+    if (!pending.empty()) {
+        controller.emplace(plan.chain(), faults.budget);
+        controller->bind(
+            [&current](const svc::PlannedSchedule& next) {
+                return plan::diff(*current, *next.plan).resize_only()
+                    ? plan::SwapOutcome::frame
+                    : plan::SwapOutcome::rebuild_required;
+            },
+            plan.options());
+    }
     StageModel model{plan, config.overhead, 0.0};
     ObsEpoch obs{config.sink, plan};
 
@@ -197,22 +205,13 @@ SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfi
             result.frames_dropped += 1;
             if (obs.active())
                 obs.record_loss(record.stage, f, final_departure + faults.detection_us);
-            try {
-                record.new_solution = rescheduler->on_core_loss(record.lost_type, 1);
-            } catch (const rt::NoScheduleError&) {
-                result.schedulable = false; // ends the run after this record
-            }
-            record.resources_after = rescheduler->resources();
+            const rt::ControlRecord step = controller->loss({record.lost_type});
+            record.resources_after = step.after;
+            result.schedulable = step.result != rt::StepResult::infeasible; // else ends the run
             if (result.schedulable) {
-                // Would the runtime frame-swap in place? Same rule as
-                // Pipeline::retarget: a resize-only plan::diff against
-                // the running plan skips the drain entirely, so the
-                // stall is detection + in-flight spawn; anything else
-                // is rebuilt.
-                plan::ExecutionPlan next = plan::ExecutionPlan::compile(
-                    current->chain(), record.new_solution, current->options());
-                if (faults.frame_swap_us.has_value()
-                    && plan::diff(*current, next).resize_only()) {
+                // A frame swap skips the drain entirely, so the stall is
+                // detection + in-flight spawn.
+                if (faults.frame_swap_us.has_value() && step.swap == plan::SwapOutcome::frame) {
                     record.frame_swap_applied = true;
                     record.downtime_us = faults.detection_us + *faults.frame_swap_us;
                 }
@@ -222,8 +221,9 @@ SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfi
                 // track group, exactly like run_with_recovery appending
                 // a hot-swapped Pipeline's workers to the shared
                 // recorder.
-                replanned = std::move(next);
-                current = &*replanned;
+                replanned = controller->planned().plan;
+                record.new_solution = controller->solution();
+                current = replanned.get();
                 model = StageModel{*current, config.overhead,
                                    final_departure + record.downtime_us};
                 obs = ObsEpoch{config.sink, *current};
@@ -493,32 +493,35 @@ AutoscaleSimResult simulate_autoscale(const AutoscaleScenario& scenario)
     if (scenario.initial.total() < 1)
         throw std::invalid_argument{"simulate_autoscale: empty initial pool"};
 
-    // The live Autoscaler's resize step; landing a re-solve in virtual time
-    // only adopts its period and energy.
+    // The live controller; landing a re-solve in virtual time only adopts
+    // its period and energy. Its construction solve seeds the warm-start
+    // frontier every resize reuses.
+    std::optional<svc::SolverService> uncached;
+    svc::SolverService* service = scenario.service;
+    if (service == nullptr)
+        service = &uncached.emplace(svc::ServiceConfig{.workers = 1, .cache_capacity = 0});
+    rt::ControlConfig config;
+    config.policy = scenario.policy;
+    config.service = service;
+    std::optional<rt::Controller> controller;
+    try {
+        controller.emplace(scenario.chain, scenario.initial, config);
+    } catch (const rt::NoScheduleError&) {
+        throw std::invalid_argument{"simulate_autoscale: initial pool admits no schedule"};
+    }
     double period_us = 0.0;
     double energy_item = 0.0;
     const auto adopt = [&](const core::Solution& solution) {
         period_us = solution.period(scenario.chain);
         energy_item = core::energy_per_item(scenario.chain, solution, scenario.power);
     };
-    rt::ResizeStep step{
-        scenario.chain, scenario.initial, scenario.policy, scenario.options,
-        [&scenario](const core::ScheduleRequest& request) {
-            return svc::PlannedSchedule{scenario.service != nullptr
-                                            ? scenario.service->solve(request)
-                                            : core::schedule(request),
-                                        nullptr};
-        },
-        [&adopt](const svc::PlannedSchedule& planned) {
-            adopt(planned.result.solution);
-            return plan::SwapOutcome::frame;
-        }};
-
-    // The initial solve seeds the warm-start frontier every resize reuses.
-    const svc::PlannedSchedule first = step.solve(scenario.initial);
-    if (!first.result.ok())
-        throw std::invalid_argument{"simulate_autoscale: initial pool admits no schedule"};
+    const svc::PlannedSchedule first = controller->planned();
     adopt(first.result.solution);
+    controller->bind([&adopt](const svc::PlannedSchedule& next) {
+        adopt(next.result.solution);
+        return plan::SwapOutcome::frame;
+    });
+    std::uint64_t warm_solves = first.result.warm_start || first.result.cache_hit ? 1 : 0;
 
     AutoscaleSimResult result;
     double tracking_error_sum = 0.0;
@@ -536,41 +539,40 @@ AutoscaleSimResult simulate_autoscale(const AutoscaleScenario& scenario)
         // stand-in for the pipeline's worst queue-depth fraction.
         const double capacity_fps = period_us > 0.0 ? 1e6 / period_us : 0.0;
         const double utilization = capacity_fps > 0.0 ? offered_fps / capacity_fps : 0.0;
-        tracking_error_sum += std::abs(utilization - step.policy().target_utilization);
+        tracking_error_sum += std::abs(utilization - scenario.policy.target_utilization);
         result.max_utilization = std::max(result.max_utilization, utilization);
 
-        const rt::ResizeStep::Outcome outcome = step.feed(utilization, now_us * 1000);
-        if (outcome.decision == rt::ScaleDecision::hold)
+        const rt::ControlRecord step = controller->load(utilization, now_us * 1000);
+        if (step.decision == rt::ScaleDecision::hold)
             continue;
-        if (outcome.landed) {
+        if (step.after != step.before) {
+            ++(step.decision == rt::ScaleDecision::grow ? result.grows : result.shrinks);
+            warm_solves += step.warm ? 1 : 0;
             if (last_landed_us != std::numeric_limits<std::int64_t>::min())
                 result.min_action_gap_us =
                     std::min(result.min_action_gap_us, now_us - last_landed_us);
             last_landed_us = now_us;
         }
+        result.clamped += step.result == rt::StepResult::held ? 1 : 0;
+        result.infeasible += step.result == rt::StepResult::infeasible ? 1 : 0;
         result.events.push_back(AutoscaleEventRecord{.at_us = now_us,
-                                                     .decision = outcome.decision,
-                                                     .before = outcome.before,
-                                                     .after = outcome.after,
+                                                     .decision = step.decision,
+                                                     .before = step.before,
+                                                     .after = step.after,
                                                      .utilization = utilization,
                                                      .period_us = period_us,
                                                      .energy_per_item = energy_item,
-                                                     .warm = outcome.warm});
+                                                     .warm = step.warm});
     }
 
-    const rt::AutoscalerStats& stats = step.stats();
-    result.samples = stats.samples;
-    result.grows = stats.grows;
-    result.shrinks = stats.shrinks;
-    result.clamped = stats.clamped;
-    result.infeasible = stats.infeasible;
+    result.samples = controller->samples();
     // Every feasible re-solve lands in virtual time: the initial solve plus
     // one per landed action.
-    result.warm_fraction = static_cast<double>(stats.warm_solves)
-        / static_cast<double>(1 + stats.grows + stats.shrinks);
+    result.warm_fraction = static_cast<double>(warm_solves)
+        / static_cast<double>(1 + result.grows + result.shrinks);
     result.mean_tracking_error =
         result.samples > 0 ? tracking_error_sum / static_cast<double>(result.samples) : 0.0;
-    result.final_pool = step.current();
+    result.final_pool = controller->budget();
     result.final_period_us = period_us;
     return result;
 }

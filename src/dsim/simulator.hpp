@@ -24,7 +24,7 @@
 #include "core/solution.hpp"
 #include "obs/sink.hpp"
 #include "plan/execution_plan.hpp"
-#include "rt/autoscaler.hpp"
+#include "rt/controller.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -53,12 +53,11 @@ struct OverheadModel {
 // -- permanent core losses -------------------------------------------------
 //
 // Thread-free mirror of the runtime's fault model (docs/FAULT_MODEL.md): at
-// chosen stream positions a stage loses one core for good. The run applies
-// the same recovery decision the runtime would make -- it reduces the
-// resource vector, re-solves HeRAD through rt::Rescheduler, and resumes the
-// departure recurrence on the new stage structure after a detection +
-// reschedule latency -- so recovery behaviour is testable deterministically,
-// without threads or timing jitter.
+// chosen stream positions a stage loses one core for good. The run drives
+// the runtime's own rt::Controller loss step -- it reduces the resource
+// vector and re-solves HeRAD -- and resumes the departure recurrence on the
+// new stage structure after a detection + reschedule latency, so recovery
+// behaviour is testable deterministically, without timing jitter.
 
 /// One permanent core loss: at stream frame `frame`, the stage at index
 /// `stage` (into the *current* plan; clamped if rescheduling shrank the
@@ -261,12 +260,12 @@ struct MultiTenantResult {
 // ---------------------------------------------------------------------------
 // Autoscaling replay (docs/AUTOSCALING.md)
 //
-// Virtual-time replay of the rt::Autoscaler control loop against a scripted
+// Virtual-time replay of the live load-scaling loop against a scripted
 // offered-load profile. As with the multi-tenant replay the decision logic
-// is not re-implemented: the replay feeds the live autoscaler's own
-// rt::ResizeStep (controller hysteresis, patience, cooldown and clamps,
-// then the warm-start re-solve), landing every feasible re-solve, so a
-// live autoscaler fed the same utilization series takes the same actions.
+// is not re-implemented: the replay feeds the runtime's own rt::Controller
+// load step (band hysteresis, patience, cooldown and clamps, then the
+// warm-start re-solve), landing every feasible re-solve, so a live
+// controller fed the same utilization series takes the same actions.
 // Utilization is offered load over delivered capacity (offered_fps *
 // period_us / 1e6); both sides of the loop are deterministic, so equal
 // scenarios produce identical event traces.
@@ -282,7 +281,6 @@ struct AutoscaleScenario {
     core::TaskChain chain;
     core::Resources initial{};
     rt::AutoscalePolicy policy{};
-    core::ScheduleOptions options{};
     /// Rates for the per-event energy_per_item accounting.
     core::PowerModel power{};
     /// Offered-load profile, sorted by at_us; the first point's rate also
@@ -291,9 +289,10 @@ struct AutoscaleScenario {
     std::int64_t horizon_us = 1'000'000;
     /// Controller observation window (one utilization sample per period).
     std::int64_t sample_period_us = 5'000;
-    /// Solver service for the re-solves; null = direct core::schedule calls
-    /// (no cache). With a service, a replayed re-solve may be answered from
-    /// cache -- the event's `warm` flag covers both, keeping traces equal.
+    /// Solver service for the re-solves; null = a private service without a
+    /// cache (every re-solve runs the solver). With a caching service, a
+    /// replayed re-solve may be answered from cache -- the event's `warm`
+    /// flag covers both, keeping traces equal.
     svc::SolverService* service = nullptr;
 };
 
@@ -321,7 +320,7 @@ struct AutoscaleSimResult {
     std::uint64_t grows = 0;
     std::uint64_t shrinks = 0;
     std::uint64_t clamped = 0;    ///< decisions absorbed by min/max clamps
-    std::uint64_t infeasible = 0; ///< targets admitting no schedule
+    std::uint64_t infeasible = 0; ///< actions no target of which admitted a schedule
     double warm_fraction = 0.0;   ///< warm re-solves / total re-solves
     /// Mean |utilization - policy.target_utilization| over all samples:
     /// the controller tracking error the bench gates on.

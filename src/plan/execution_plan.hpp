@@ -2,7 +2,7 @@
 // Compiled execution-plan IR: the one place a core::Solution is turned into
 // the facts every executor needs.
 //
-// rt::Pipeline, dsim::simulate and the recovery path in rt::Rescheduler all
+// rt::Pipeline, dsim::simulate and the recovery path in rt::Controller all
 // used to re-derive the same structure from a raw Solution -- stage task
 // intervals, core-type bindings, replica counts, queue topology -- each with
 // its own ad-hoc audit. ExecutionPlan::compile performs that derivation and

@@ -17,7 +17,7 @@
 //   * `kill`      : worker `worker` exits silently when it picks up frame
 //     `frame`, still holding it. Models a crashed thread / lost core; the
 //     watchdog tombstones the held frame and, if the stage has no replica
-//     left, initiates a graceful drain so the Rescheduler can take over.
+//     left, initiates a graceful drain so the rt::Controller can take over.
 //
 // Workers are identified by their global index in stage-major order (the
 // paper's compact placement: stage 0's replicas first, then stage 1's).

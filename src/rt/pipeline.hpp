@@ -48,7 +48,7 @@
 // tombstones), and the run returns a degraded-but-ordered result instead of
 // aborting. Transient task failures are absorbed by a bounded retry with
 // exponential backoff. A run that ends early reports `stream_end`, the exact
-// resume point for the next segment (see rt/rescheduler.hpp).
+// resume point for the next segment (see rt/controller.hpp).
 
 #include "core/chain.hpp"
 #include "core/solution.hpp"
@@ -415,9 +415,9 @@ public:
     /// kWatchdogPoll) with the worst queue depth as a fraction of that
     /// queue's capacity (uncapped: > 1.0 when force-pushed frames exceed
     /// the nominal capacity). An installed hook is what starts the
-    /// watchdog on a run without a heartbeat timeout. rt::Autoscaler
-    /// samples its utilization signal here. Install between runs only,
-    /// like the loss handler.
+    /// watchdog on a run without a heartbeat timeout. rt::PipelineControl
+    /// samples its controller's utilization signal here. Install between
+    /// runs only, like the loss handler.
     using MonitorHook = std::function<void(double)>;
     void set_monitor_hook(MonitorHook hook) { monitor_hook_ = std::move(hook); }
 

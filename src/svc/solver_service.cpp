@@ -4,6 +4,7 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 namespace amp::svc {
 
@@ -65,10 +66,10 @@ void SolverService::stop()
 
 std::size_t SolverService::claim(Batch& batch)
 {
-    const std::size_t index = batch.size - 1 - batch.next++;
+    const std::size_t slot = batch.size - 1 - batch.next++;
     if (batch.next == batch.size)
         std::erase(open_, &batch);
-    return index;
+    return batch.indices != nullptr ? batch.indices[slot] : slot;
 }
 
 void SolverService::worker_loop(std::size_t worker_index)
@@ -158,7 +159,24 @@ SolverService::solve_batch(const std::vector<core::ScheduleRequest>& requests)
     if (requests.empty())
         return results;
 
-    Batch batch{.requests = requests.data(), .results = results.data(), .size = requests.size()};
+    // With a cache, equal requests are solved once: the batch claims the
+    // lowest index of each CacheKey, and the repeats go through the solve
+    // path after those finish, as the cache hits they are. Without one,
+    // every request is solved.
+    std::vector<std::size_t> firsts;
+    std::vector<std::size_t> repeats;
+    if (config_.cache_capacity > 0) {
+        const auto hash = [](const CacheKey& key) {
+            return static_cast<std::size_t>(hash_key(key));
+        };
+        std::unordered_map<CacheKey, std::size_t, decltype(hash)> seen(requests.size(), hash);
+        for (std::size_t i = 0; i < requests.size(); ++i)
+            (seen.try_emplace(key_of(requests[i]), i).second ? firsts : repeats).push_back(i);
+    }
+    Batch batch{.requests = requests.data(),
+                .results = results.data(),
+                .indices = firsts.empty() ? nullptr : firsts.data(),
+                .size = firsts.empty() ? requests.size() : firsts.size()};
     {
         std::lock_guard lock{mutex_};
         open_.push_back(&batch);
@@ -179,6 +197,9 @@ SolverService::solve_batch(const std::vector<core::ScheduleRequest>& requests)
     // the batch, so reading finished == size here is what lets it leave
     // the stack.
     done_.wait(lock, [&] { return batch.finished == batch.size; });
+    lock.unlock();
+    for (const std::size_t index : repeats)
+        results[index] = serve(requests[index], nullptr, threads_.size()).result;
     return results;
 }
 

@@ -15,8 +15,11 @@
 // another. A batch lives on its submitter's stack. Workers claim request
 // indices from the oldest open batch, the submitter claims from its own
 // (so workers = 1 is never slower than a sequential loop), and the claim
-// that takes a batch's last index unlinks it. solve_batch returns once it
-// reads finished == size under the mutex. After stop() the workers exit
+// that takes a batch's last index unlinks it. With the cache on, a batch
+// claims only the lowest index of each distinct request; its submitter
+// answers the repeats once those finished, through the solve path (cache
+// hits). solve_batch returns once it reads finished == size under the
+// mutex and has answered the repeats. After stop() the workers exit
 // and each submitter claims the rest of its own batch, which the solve
 // path answers with ScheduleError::rejected, so no caller hangs on a
 // stopped service.
@@ -94,8 +97,10 @@ public:
 
     /// Solves a batch of independent requests, in parallel across the
     /// worker pool; the calling thread helps solve its own batch. Results
-    /// are aligned with `requests`. Thread-safe: concurrent batches are
-    /// served oldest first.
+    /// are aligned with `requests`. With the cache on, each distinct
+    /// request is solved once and its repeats are answered from the cache
+    /// afterwards (cache_hit set, counted as hits). Thread-safe: concurrent
+    /// batches are served oldest first.
     [[nodiscard]] std::vector<core::ScheduleResult>
     solve_batch(const std::vector<core::ScheduleRequest>& requests);
 
@@ -127,7 +132,9 @@ private:
     struct Batch {
         const core::ScheduleRequest* requests = nullptr;
         core::ScheduleResult* results = nullptr;
-        std::size_t size = 0;
+        /// Request index of each claim; null claims every index.
+        const std::size_t* indices = nullptr;
+        std::size_t size = 0;     ///< claims in the batch
         std::size_t next = 0;     ///< requests claimed
         std::size_t finished = 0; ///< requests answered
     };
@@ -168,14 +175,14 @@ private:
 };
 
 /// Process-wide service with the default configuration, constructed on
-/// first use. rt::Rescheduler (and through it the failure simulator) solve
-/// through this instance unless a ReschedulePolicy injects its own.
+/// first use. rt::Controller (and through it the failure simulator) solves
+/// through this instance unless its ControlConfig injects its own.
 [[nodiscard]] SolverService& shared_service();
 
 /// Redirects shared_service() to `service` (tests only: lets a fixture
 /// substitute an instrumented instance and count the solves reaching it
 /// from components that default to the shared service, e.g. arb::Arbiter
-/// or rt::Rescheduler). Pass nullptr to restore the real shared instance.
+/// or rt::Controller). Pass nullptr to restore the real shared instance.
 /// Returns the previous override. Not thread-safe against concurrent
 /// shared_service() callers; swap only while quiescent.
 SolverService* set_shared_service_for_test(SolverService* service) noexcept;

@@ -36,8 +36,10 @@ public:
 
     /// Diffs `next` against the plan it runs, as rt::Pipeline::retarget
     /// does; a resize-only change lands as a frame swap.
-    [[nodiscard]] plan::SwapOutcome apply(const plan::ExecutionPlan& next) override
+    [[nodiscard]] plan::SwapOutcome apply(core::Resources /*budget*/,
+                                          const svc::PlannedSchedule& planned) override
     {
+        const plan::ExecutionPlan& next = *planned.plan;
         const plan::PlanDelta delta = plan::diff(plan_, next);
         deltas.push_back(delta);
         if (delta.empty())

@@ -43,7 +43,7 @@ struct SharedServiceOverride {
     svc::SolverService* previous;
 };
 
-/// Endpoint double mirroring rt::PipelineTenantEndpoint's decision table.
+/// Endpoint double mirroring rt::Pipeline::retarget's decision table.
 class FakeEndpoint final : public TenantEndpoint {
 public:
     explicit FakeEndpoint(plan::ExecutionPlan plan)
@@ -53,8 +53,10 @@ public:
 
     /// Diffs `next` against the plan it runs, as rt::Pipeline::retarget
     /// does; a resize-only change lands as a frame swap.
-    [[nodiscard]] plan::SwapOutcome apply(const plan::ExecutionPlan& next) override
+    [[nodiscard]] plan::SwapOutcome apply(core::Resources /*budget*/,
+                                          const svc::PlannedSchedule& planned) override
     {
+        const plan::ExecutionPlan& next = *planned.plan;
         const plan::PlanDelta delta = plan::diff(plan_, next);
         deltas.push_back(delta);
         if (delta.empty())

@@ -4,7 +4,7 @@
 
 #include "arb/arbiter.hpp"
 #include "dsim/simulator.hpp"
-#include "rt/autoscaler.hpp"
+#include "rt/controller.hpp"
 #include "sim/generator.hpp"
 
 #include <gtest/gtest.h>

@@ -2,7 +2,7 @@
 
 #include "core/scheduler.hpp"
 #include "obs/schema.hpp"
-#include "rt/rescheduler.hpp"
+#include "rt/controller.hpp"
 #include "svc/solver_service.hpp"
 
 #include <gtest/gtest.h>
@@ -107,8 +107,8 @@ TEST(FailureSim, RecoveryDecisionsAreDeterministicFromSeed)
     EXPECT_DOUBLE_EQ(first.period_us, second.period_us);
 }
 
-// The simulator's decisions are exactly the runtime Rescheduler's: feeding
-// the same loss sequence to an rt::Rescheduler reproduces every solution.
+// The simulator's decisions are exactly the runtime controller's: feeding
+// the same loss sequence to an rt::Controller reproduces every solution.
 TEST(FailureSim, MirrorsRuntimeReschedulerDecisions)
 {
     const core::TaskChain chain = make_chain(6);
@@ -126,10 +126,11 @@ TEST(FailureSim, MirrorsRuntimeReschedulerDecisions)
     ASSERT_TRUE(result.schedulable);
     ASSERT_EQ(result.recoveries.size(), 3u);
 
-    rt::Rescheduler twin{chain, budget};
+    rt::Controller twin{chain, budget};
     for (const auto& record : result.recoveries) {
-        const core::Solution expected = twin.on_core_loss(record.lost_type);
-        EXPECT_EQ(twin.resources(), record.resources_after);
+        (void)twin.loss({record.lost_type});
+        const core::Solution expected = twin.solution();
+        EXPECT_EQ(twin.budget(), record.resources_after);
         EXPECT_EQ(expected, record.new_solution)
             << "dsim must take the decision the runtime would take";
         EXPECT_EQ(record.new_solution,

@@ -7,7 +7,7 @@
 #include "plan/execution_plan.hpp"
 #include "rt/fault.hpp"
 #include "rt/pipeline.hpp"
-#include "rt/rescheduler.hpp"
+#include "rt/controller.hpp"
 
 #include <gtest/gtest.h>
 
@@ -218,7 +218,7 @@ rt::RecoveryReport run_kill(const TaskChain& chain, Resources budget,
 {
     constexpr std::uint64_t kFrames = 100;
     auto seq = make_sequence(5);
-    rt::Rescheduler rescheduler{chain, budget};
+    rt::Controller controller{chain, budget};
 
     rt::FaultInjector injector;
     injector.add(rt::FaultSpec{rt::FaultKind::kill, 20, 0, 0, 1, milliseconds{0}});
@@ -228,7 +228,7 @@ rt::RecoveryReport run_kill(const TaskChain& chain, Resources budget,
     config.heartbeat_timeout = milliseconds{50};
 
     const rt::RecoveryReport report = rt::run_with_recovery<Frame>(
-        seq, rescheduler, kFrames, config,
+        seq, controller, kFrames, config,
         [&](Frame& f) {
             if (delivered)
                 delivered->push_back(f.seq);

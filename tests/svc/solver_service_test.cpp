@@ -294,6 +294,34 @@ TEST(SolverService, SeededBatchesSolveEveryRequestExactlyOnce)
     }
 }
 
+// With the cache on, a batch solves each distinct request once: the
+// repeats wait for their first and are answered from the cache, so which
+// index hits and the hit/miss counts no longer depend on which claimer
+// races which.
+TEST(SolverService, DuplicateBatchRequestsSolveOncePerDistinctRequest)
+{
+    const auto chains = random_chains(3, 77);
+    const core::ScheduleRequest a{chains[0], {3, 2}, core::Strategy::herad};
+    const core::ScheduleRequest b{chains[1], {3, 2}, core::Strategy::herad};
+    const core::ScheduleRequest c{chains[2], {2, 2}, core::Strategy::herad};
+    const std::vector<core::ScheduleRequest> requests{a, b, a, c, b, a, a, c};
+    const bool hit[] = {false, false, true, false, true, true, true, true};
+
+    svc::SolverService service{{.workers = 3}};
+    const auto results = service.solve_batch(requests);
+    ASSERT_EQ(results.size(), requests.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].cache_hit, hit[i]) << "index " << i;
+        EXPECT_EQ(results[i].solution, core::schedule(requests[i]).solution) << "index " << i;
+    }
+    const auto snapshot = service.metrics().snapshot();
+    EXPECT_EQ(snapshot.counters.at("amp_svc_cache_misses{strategy=\"herad\"}"), 3u)
+        << "one solve per distinct request";
+    EXPECT_EQ(snapshot.counters.at("amp_svc_cache_hits{strategy=\"herad\"}"), 5u);
+    EXPECT_EQ(service.cache_stats().misses, 3u);
+    EXPECT_EQ(service.cache_stats().hits, 5u);
+}
+
 // The plan-aware cache: a solve_planned hit returns the SAME immutable
 // compiled plan object as the miss that populated it -- zero recompiles,
 // pinned by pointer identity.
