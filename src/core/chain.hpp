@@ -6,10 +6,13 @@
 // 1-based, matching the paper's pseudocode, so that interval [s, e] means
 // tasks tau_s..tau_e inclusive.
 
+#include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace amp::core {
@@ -61,21 +64,64 @@ struct TaskDesc {
 constexpr double kInfiniteWeight = std::numeric_limits<double>::infinity();
 
 /// Immutable task chain with O(1) interval-weight and interval-replicability
-/// queries (two prefix sums plus a next-sequential-task index, instead of the
+/// queries (prefix sums plus a next-sequential-task index, instead of the
 /// paper's O(n^2) precomputed table).
+///
+/// A chain is a handle on one reference-counted block that never changes
+/// after construction: copies share it (a copy is a refcount bump, safe
+/// across threads), and each handle caches raw views of the block's arrays
+/// so that the interval queries load exactly what a self-contained chain
+/// would. A default-constructed or moved-from chain refers to one shared
+/// empty block and allocates nothing.
 class TaskChain {
 public:
-    TaskChain() = default;
+    TaskChain() noexcept
+        : block_(&kEmpty)
+        , view_(kEmpty.view)
+    {
+    }
     explicit TaskChain(std::vector<TaskDesc> tasks);
 
-    [[nodiscard]] int size() const noexcept { return static_cast<int>(tasks_.size()); }
-    [[nodiscard]] bool empty() const noexcept { return tasks_.empty(); }
+    TaskChain(const TaskChain& other) noexcept
+        : block_(other.block_)
+        , view_(other.view_)
+    {
+        retain();
+    }
+    TaskChain(TaskChain&& other) noexcept
+        : block_(other.block_)
+        , view_(other.view_)
+    {
+        other.block_ = &kEmpty;
+        other.view_ = kEmpty.view;
+    }
+    TaskChain& operator=(const TaskChain& other) noexcept
+    {
+        other.retain();
+        release();
+        block_ = other.block_;
+        view_ = other.view_;
+        return *this;
+    }
+    TaskChain& operator=(TaskChain&& other) noexcept
+    {
+        if (this != &other) {
+            release();
+            block_ = std::exchange(other.block_, &kEmpty);
+            view_ = std::exchange(other.view_, kEmpty.view);
+        }
+        return *this;
+    }
+    ~TaskChain() { release(); }
+
+    [[nodiscard]] int size() const noexcept { return view_.size; }
+    [[nodiscard]] bool empty() const noexcept { return view_.size == 0; }
 
     /// Task descriptor, i in [1, n].
     [[nodiscard]] const TaskDesc& task(int i) const
     {
         assert(i >= 1 && i <= size());
-        return tasks_[static_cast<std::size_t>(i - 1)];
+        return view_.tasks[static_cast<std::size_t>(i - 1)];
     }
 
     [[nodiscard]] double weight(int i, CoreType v) const
@@ -92,7 +138,7 @@ public:
         assert(s >= 1 && e <= size());
         if (s > e)
             return 0.0;
-        const auto& prefix = v == CoreType::big ? prefix_big_ : prefix_little_;
+        const double* prefix = view_.prefix[static_cast<int>(v)];
         return prefix[static_cast<std::size_t>(e)] - prefix[static_cast<std::size_t>(s - 1)];
     }
 
@@ -105,7 +151,7 @@ public:
         assert(s >= 1 && e <= size());
         if (s > e)
             return 0.0;
-        const auto& prefix = v == CoreType::big ? eprefix_big_ : eprefix_little_;
+        const double* prefix = view_.eprefix[static_cast<int>(v)];
         return prefix[static_cast<std::size_t>(e)] - prefix[static_cast<std::size_t>(s - 1)];
     }
 
@@ -115,7 +161,7 @@ public:
         assert(s >= 1);
         if (s > e)
             return true;
-        return next_sequential_[static_cast<std::size_t>(s)] > e;
+        return view_.next_sequential[static_cast<std::size_t>(s)] > e;
     }
 
     /// FinalRepTask (Algo 3): the largest i >= e such that [s, i] is still
@@ -123,7 +169,7 @@ public:
     [[nodiscard]] int final_replicable_task(int s, [[maybe_unused]] int e) const
     {
         assert(interval_replicable(s, e));
-        return next_sequential_[static_cast<std::size_t>(s)] - 1;
+        return view_.next_sequential[static_cast<std::size_t>(s)] - 1;
     }
 
     /// Stage weight w(s, r, v) per the paper's Eq. (1).
@@ -140,55 +186,90 @@ public:
     /// Largest single-task weight on core type v (0 for an empty chain).
     [[nodiscard]] double max_weight(CoreType v) const noexcept
     {
-        return v == CoreType::big ? max_w_big_ : max_w_little_;
+        return block_->max_weight[static_cast<int>(v)];
     }
 
     /// Largest sequential-task weight on core type v (0 if all replicable).
     [[nodiscard]] double max_sequential_weight(CoreType v) const noexcept
     {
-        return v == CoreType::big ? max_seq_w_big_ : max_seq_w_little_;
+        return block_->max_sequential_weight[static_cast<int>(v)];
     }
 
     /// Number of replicable tasks.
-    [[nodiscard]] int replicable_count() const noexcept { return replicable_count_; }
+    [[nodiscard]] int replicable_count() const noexcept { return block_->replicable_count; }
 
-    /// 64-bit FNV-1a digest of the chain's scheduling-relevant content
-    /// (task count, per-task weights, replicability flags and energy
-    /// weights; names are ignored). Computed once at construction; used as
-    /// the chain identity in svc::SolverService's solution cache. Energy
-    /// weights are part of the digest because they change what an
-    /// energy-objective solve returns -- two chains differing only in
-    /// energy must not share cache identity.
-    [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+    /// 64-bit digest of the chain's scheduling-relevant content (task
+    /// count, per-task weights, replicability flags and energy weights;
+    /// names are ignored). Computed once at construction; used as the chain
+    /// identity in svc::SolverService's solution cache and by HeRAD's warm
+    /// start. Energy weights are part of the digest because they change
+    /// what an energy-objective solve returns -- two chains differing only
+    /// in energy must not share cache identity. Each task's words are mixed
+    /// one word at a time, independently of one another, and folded into
+    /// the running digest with one multiply. A cache identity inside one
+    /// process: the value is not stable across versions and is never
+    /// persisted.
+    [[nodiscard]] std::uint64_t fingerprint() const noexcept { return block_->fingerprint; }
 
-    /// Second digest of the same content, built with an independent hash
-    /// construction (splitmix64 chaining instead of FNV-1a). The solution
-    /// cache keys on both digests plus the task count, so a silent cache
+    /// Second digest of the same content, built with an independent
+    /// construction (other per-word mixer, other fold). The solution cache
+    /// keys on both digests plus the task count, so a silent cache
     /// collision needs two unrelated 64-bit hashes to collide at once on
     /// chains of equal length.
-    [[nodiscard]] std::uint64_t fingerprint2() const noexcept { return fingerprint2_; }
+    [[nodiscard]] std::uint64_t fingerprint2() const noexcept { return block_->fingerprint2; }
 
     /// Fraction of replicable tasks (the paper's stateless ratio, SR).
     [[nodiscard]] double stateless_ratio() const noexcept
     {
-        return empty() ? 0.0 : static_cast<double>(replicable_count_) / size();
+        return empty() ? 0.0 : static_cast<double>(replicable_count()) / size();
     }
 
 private:
-    std::vector<TaskDesc> tasks_;
-    std::vector<double> prefix_big_;    // prefix_big_[i] = sum of w^B of tasks 1..i
-    std::vector<double> prefix_little_; // prefix_little_[i] = sum of w^L of tasks 1..i
-    std::vector<double> eprefix_big_;    // eprefix_big_[i] = sum of e * w^B of tasks 1..i
-    std::vector<double> eprefix_little_; // eprefix_little_[i] = sum of e * w^L of tasks 1..i
-    std::vector<int> next_sequential_;  // next_sequential_[i] = min j >= i with tau_j
-                                        // sequential, or n+1 if none (index 0 unused)
-    double max_w_big_ = 0.0;
-    double max_w_little_ = 0.0;
-    double max_seq_w_big_ = 0.0;
-    double max_seq_w_little_ = 0.0;
-    int replicable_count_ = 0;
-    std::uint64_t fingerprint_ = 0;
-    std::uint64_t fingerprint2_ = 0;
+    /// Raw pointers into a block's arrays, cached in every handle.
+    struct View {
+        const TaskDesc* tasks = nullptr;
+        /// prefix[v][i] = sum of w^v of tasks 1..i, by CoreType.
+        const double* prefix[2] = {nullptr, nullptr};
+        /// eprefix[v][i] = sum of energy * w^v of tasks 1..i, by CoreType.
+        const double* eprefix[2] = {nullptr, nullptr};
+        /// next_sequential[i] = min j >= i with tau_j sequential, or n+1 if
+        /// none (index 0 unused; n+2 entries).
+        const int* next_sequential = nullptr;
+        int size = 0;
+    };
+
+    /// The shared immutable storage. One allocation holds the block and,
+    /// behind it, the four prefix planes and the next-sequential index;
+    /// `tasks` is the vector the constructor moved in.
+    struct Block {
+        View view;
+        mutable std::atomic<std::size_t> refs;
+        std::vector<TaskDesc> tasks;
+        double max_weight[2];
+        double max_sequential_weight[2];
+        int replicable_count;
+        std::uint64_t fingerprint;
+        std::uint64_t fingerprint2;
+    };
+
+    /// The empty chain's block: shared by every empty handle and never
+    /// counted or freed.
+    static const Block kEmpty;
+
+    void retain() const noexcept
+    {
+        if (block_ != &kEmpty)
+            block_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    void release() noexcept
+    {
+        if (block_ != &kEmpty && block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            destroy(block_);
+    }
+    static void destroy(const Block* block) noexcept;
+
+    const Block* block_;
+    View view_;
 };
 
 } // namespace amp::core

@@ -495,7 +495,10 @@ AutoscaleSimResult simulate_autoscale(const AutoscaleScenario& scenario)
 
     // The live controller; landing a re-solve in virtual time only adopts
     // its period and energy. Its construction solve seeds the warm-start
-    // frontier every resize reuses.
+    // frontier every resize reuses. Without an injected service it solves
+    // through a private uncached one, so the replay's warm flags do not
+    // depend on earlier calls; the controller only calls solve_planned,
+    // so that service never starts a worker thread.
     std::optional<svc::SolverService> uncached;
     svc::SolverService* service = scenario.service;
     if (service == nullptr)

@@ -94,9 +94,11 @@ std::vector<std::uint8_t> BchCode::encode(const std::vector<std::uint8_t>& messa
             // reg ^= g(x) without its x^r term (that term is the feedback).
             for (std::size_t w = 0; w < reg.size(); ++w)
                 reg[w] ^= generator_[w];
-            gf2::set_bit(reg, r, false); // clear any carry into bit r
         }
-        gf2::set_bit(reg, r, false);
+        // Clear the carry into bit r. When r is a multiple of 64, bit r lies
+        // past the register and the shift has already dropped it.
+        if (r % 64 != 0)
+            gf2::set_bit(reg, r, false);
     }
 
     std::vector<std::uint8_t> codeword(static_cast<std::size_t>(n_));

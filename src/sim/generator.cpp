@@ -1,7 +1,9 @@
 #include "sim/generator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -24,7 +26,8 @@ core::TaskChain generate_chain(const GeneratorConfig& config, Rng& rng)
     std::vector<core::TaskDesc> tasks(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         auto& task = tasks[static_cast<std::size_t>(i)];
-        task.name = "tau" + std::to_string(i + 1);
+        char name[16] = "tau";
+        task.name.assign(name, std::to_chars(name + 3, std::end(name), i + 1).ptr);
         switch (config.distribution) {
         case WeightDistribution::uniform:
             task.w_big =

@@ -3,10 +3,10 @@
 // compiled from it once a solve_planned call has asked for one.
 //
 // The key is the full identity of a solve: the chain's two independent
-// 64-bit digests (FNV-1a and splitmix64 over weights + replicability flags,
-// computed once at TaskChain construction) plus its task count, the
-// strategy, the resource vector R = (b, l), and the dense ScheduleOptions
-// encoding. Two requests with equal keys are solved identically by the
+// 64-bit digests (over weights, replicability flags and energy weights,
+// computed once when the shared TaskChain block is built; see
+// TaskChain::fingerprint) plus its task count, the strategy, the resource
+// vector R = (b, l), and the dense ScheduleOptions encoding. Two requests with equal keys are solved identically by the
 // (deterministic) strategies, so a hit returns a bit-identical Solution
 // without running the solver.
 //
@@ -34,9 +34,10 @@ namespace amp::svc {
 
 /// Cache identity of a ScheduleRequest. Chain identity is two independent
 /// 64-bit digests plus the task count: a silent collision (a hit returning
-/// another chain's solution) requires FNV-1a and splitmix64 to collide
+/// another chain's solution) requires both digest constructions to collide
 /// simultaneously on chains of equal length, instead of a single 64-bit
-/// birthday bound.
+/// birthday bound. Digests identify chains inside one process only; they
+/// are never persisted.
 struct CacheKey {
     std::uint64_t chain_fingerprint = 0;
     std::uint64_t chain_fingerprint2 = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -38,12 +39,9 @@ SolverService::SolverService(ServiceConfig config)
             &metrics_->histogram(labelled("amp_svc_solve_latency_us", strategy));
     }
 
-    int workers = config_.workers;
-    if (workers <= 0)
-        workers = std::max(1u, std::thread::hardware_concurrency());
-    threads_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i)
-        threads_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
+    workers_ = config_.workers > 0
+        ? config_.workers
+        : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 SolverService::~SolverService()
@@ -62,6 +60,19 @@ void SolverService::stop()
         for (std::thread& thread : threads_)
             thread.join();
     });
+}
+
+void SolverService::start_pool() noexcept
+{
+    pool_started_ = true;
+    try {
+        threads_.reserve(static_cast<std::size_t>(workers_));
+        for (int i = 0; i < workers_; ++i)
+            threads_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
+    } catch (const std::exception&) {
+        // No thread (or not every thread) could start: the submitter and
+        // whichever workers did start serve the batch.
+    }
 }
 
 std::size_t SolverService::claim(Batch& batch)
@@ -143,13 +154,13 @@ PlannedSchedule SolverService::serve(const core::ScheduleRequest& request,
 
 core::ScheduleResult SolverService::solve(const core::ScheduleRequest& request)
 {
-    return serve(request, nullptr, threads_.size()).result;
+    return serve(request, nullptr, caller_shard()).result;
 }
 
 PlannedSchedule SolverService::solve_planned(const core::ScheduleRequest& request,
                                              plan::PlanOptions options)
 {
-    return serve(request, &options, threads_.size());
+    return serve(request, &options, caller_shard());
 }
 
 std::vector<core::ScheduleResult>
@@ -177,19 +188,26 @@ SolverService::solve_batch(const std::vector<core::ScheduleRequest>& requests)
                 .results = results.data(),
                 .indices = firsts.empty() ? nullptr : firsts.data(),
                 .size = firsts.empty() ? requests.size() : firsts.size()};
+    std::size_t helpers = 0;
     {
         std::lock_guard lock{mutex_};
         open_.push_back(&batch);
+        // A batch the submitter cannot finish alone starts the pool; one
+        // that only ever sees solve() and solve_planned() never does.
+        if (batch.size > 1 && !pool_started_ && !stopped())
+            start_pool();
+        helpers = std::min(batch.size - 1, threads_.size());
     }
     // The submitter takes one request itself; wake one worker for each of
     // the others, up to the pool size, not every idle worker.
-    for (std::size_t i = 1; i < batch.size && i <= threads_.size(); ++i)
+    for (std::size_t i = 0; i < helpers; ++i)
         work_.notify_one();
+    const std::size_t shard = caller_shard();
     std::unique_lock lock{mutex_};
     while (batch.next < batch.size) {
         const std::size_t index = claim(batch);
         lock.unlock();
-        results[index] = serve(requests[index], nullptr, threads_.size()).result;
+        results[index] = serve(requests[index], nullptr, shard).result;
         lock.lock();
         ++batch.finished;
     }
@@ -199,7 +217,7 @@ SolverService::solve_batch(const std::vector<core::ScheduleRequest>& requests)
     done_.wait(lock, [&] { return batch.finished == batch.size; });
     lock.unlock();
     for (const std::size_t index : repeats)
-        results[index] = serve(requests[index], nullptr, threads_.size()).result;
+        results[index] = serve(requests[index], nullptr, shard).result;
     return results;
 }
 

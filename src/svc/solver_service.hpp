@@ -12,10 +12,13 @@
 //
 // Concurrency model: one FIFO of open batches behind one mutex; idle
 // workers wait on one condition variable, submitters for their batch on
-// another. A batch lives on its submitter's stack. Workers claim request
-// indices from the oldest open batch, the submitter claims from its own
-// (so workers = 1 is never slower than a sequential loop), and the claim
-// that takes a batch's last index unlinks it. With the cache on, a batch
+// another. solve() and solve_planned() run on the caller, so the pool
+// starts only with the first batch of two or more claims (under the mutex,
+// never after stop()); a service that batches nothing starts no thread.
+// A batch lives on its submitter's stack. Workers claim request indices
+// from the oldest open batch, the submitter claims from its own (so
+// workers = 1 is never slower than a sequential loop), and the claim that
+// takes a batch's last index unlinks it. With the cache on, a batch
 // claims only the lowest index of each distinct request; its submitter
 // answers the repeats once those finished, through the solve path (cache
 // hits). solve_batch returns once it reads finished == size under the
@@ -63,7 +66,8 @@ struct PlannedSchedule {
 };
 
 struct ServiceConfig {
-    /// Worker threads; 0 means hardware_concurrency (at least 1).
+    /// Worker threads; 0 means hardware_concurrency (at least 1). They
+    /// start with the first solve_batch that has two or more claims.
     int workers = 0;
     /// Total cached entries across all shards; 0 disables caching.
     std::size_t cache_capacity = 8192;
@@ -117,7 +121,9 @@ public:
 
     [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
 
-    [[nodiscard]] int workers() const noexcept { return static_cast<int>(threads_.size()); }
+    /// The configured pool size (ServiceConfig::workers, or the host's
+    /// core count for 0), whether or not the pool has started yet.
+    [[nodiscard]] int workers() const noexcept { return workers_; }
     [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
 
     /// The metrics registry results are recorded into (injected or owned).
@@ -139,7 +145,17 @@ private:
         std::size_t finished = 0; ///< requests answered
     };
 
+    /// Starts the workers; a thread that cannot start leaves the pool
+    /// short. Caller holds mutex_, has a batch of two or more claims and
+    /// has checked that the service is neither started nor stopped.
+    void start_pool() noexcept;
     void worker_loop(std::size_t worker_index);
+    /// Metric counter slot of a solve on the calling thread (workers take
+    /// 0 .. workers() - 1).
+    [[nodiscard]] std::size_t caller_shard() const noexcept
+    {
+        return static_cast<std::size_t>(workers_);
+    }
     /// Takes `batch`'s next request index, from the back: sweeps list their
     /// grids smallest resource vector first, so the slowest solves start
     /// first and fewer are left for the batch's tail. The claim that takes
@@ -151,6 +167,7 @@ private:
                                         const plan::PlanOptions* plan_options, std::size_t shard);
 
     ServiceConfig config_;
+    int workers_ = 1;
     SolutionCache cache_;
     std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     obs::MetricsRegistry* metrics_ = nullptr;
@@ -171,7 +188,8 @@ private:
     std::deque<Batch*> open_;         ///< batches with unclaimed requests, oldest first
     std::atomic<bool> stop_{false};
     std::once_flag stop_once_;
-    std::vector<std::thread> threads_;
+    bool pool_started_ = false;       ///< guarded by mutex_
+    std::vector<std::thread> threads_; ///< grows once, under mutex_, before stop
 };
 
 /// Process-wide service with the default configuration, constructed on

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace {
@@ -73,6 +76,81 @@ TEST(Generator, ReplicablePositionsVary)
     for (const int h : hits) {
         EXPECT_GT(h, 50);
         EXPECT_LT(h, 150);
+    }
+}
+
+// FNV-1a over the bytes of every task's w_big, w_little and flag: a
+// digest local to this test, independent of TaskChain's own.
+std::uint64_t draws_digest(const amp::core::TaskChain& chain)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    const auto fold = [&](std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (value >> (8 * byte)) & 0xffull;
+            hash *= 1099511628211ull;
+        }
+    };
+    for (int i = 1; i <= chain.size(); ++i) {
+        const auto& t = chain.task(i);
+        fold(std::bit_cast<std::uint64_t>(t.w_big));
+        fold(std::bit_cast<std::uint64_t>(t.w_little));
+        fold(t.replicable ? 1u : 0u);
+    }
+    return hash;
+}
+
+// Every draw of these seeds is pinned, so a change to the generator or to
+// the chain it builds keeps every experiment's chains, and through them
+// every schedule and golden output, bit for bit.
+TEST(Generator, PinnedDrawsMatchTheParent)
+{
+    struct Pin {
+        std::uint64_t seed;
+        WeightDistribution distribution;
+        int tasks;
+        std::uint64_t digest;
+    };
+    constexpr Pin kPins[] = {
+        {1, WeightDistribution::uniform, 1, 0xdc19c3b71ef2233eull},
+        {1, WeightDistribution::uniform, 20, 0xd93be02ddaabee02ull},
+        {1, WeightDistribution::uniform, 64, 0x456fce4b5ed64b08ull},
+        {1, WeightDistribution::bimodal, 1, 0xfd65ac6c588c5f08ull},
+        {1, WeightDistribution::bimodal, 20, 0x40b814495ce5ac95ull},
+        {1, WeightDistribution::bimodal, 64, 0x479eb66faf22cf22ull},
+        {1, WeightDistribution::lognormal, 1, 0x629c835b6c9222a0ull},
+        {1, WeightDistribution::lognormal, 20, 0x190c1d53b2ed479bull},
+        {1, WeightDistribution::lognormal, 64, 0x09c7a902856aa3adull},
+        {42, WeightDistribution::uniform, 1, 0x85d8e4c2abf78ea9ull},
+        {42, WeightDistribution::uniform, 20, 0x00e079c60780df1aull},
+        {42, WeightDistribution::uniform, 64, 0x358449bc6a697118ull},
+        {42, WeightDistribution::bimodal, 1, 0xe1f61c6132e75c4full},
+        {42, WeightDistribution::bimodal, 20, 0x192e0aa6734becd4ull},
+        {42, WeightDistribution::bimodal, 64, 0x62c5443037ea420aull},
+        {42, WeightDistribution::lognormal, 1, 0xd6ac53fc34736cb6ull},
+        {42, WeightDistribution::lognormal, 20, 0x9b2b04371055b571ull},
+        {42, WeightDistribution::lognormal, 64, 0xa3e0b5cd964693b7ull},
+        {777, WeightDistribution::uniform, 1, 0xa9877715046affaaull},
+        {777, WeightDistribution::uniform, 20, 0xf9529085699b4bebull},
+        {777, WeightDistribution::uniform, 64, 0x7497d715c3af6384ull},
+        {777, WeightDistribution::bimodal, 1, 0x56a9f7f99dc2d74bull},
+        {777, WeightDistribution::bimodal, 20, 0x4f18fa6ee30e4ec6ull},
+        {777, WeightDistribution::bimodal, 64, 0x39e58877179d74bbull},
+        {777, WeightDistribution::lognormal, 1, 0xf777dab2a7a73faeull},
+        {777, WeightDistribution::lognormal, 20, 0x1100ad85157f6c2cull},
+        {777, WeightDistribution::lognormal, 64, 0xd8a8fbc6fe8746feull},
+    };
+    for (const Pin& pin : kPins) {
+        SCOPED_TRACE("seed " + std::to_string(pin.seed) + ", distribution "
+                     + std::to_string(static_cast<int>(pin.distribution)) + ", n "
+                     + std::to_string(pin.tasks));
+        amp::Rng rng{pin.seed};
+        const auto chain =
+            generate_chain({.num_tasks = pin.tasks, .distribution = pin.distribution}, rng);
+        ASSERT_EQ(chain.size(), pin.tasks);
+        for (int i = 1; i <= chain.size(); ++i)
+            EXPECT_EQ(chain.task(i).name, "tau" + std::to_string(i));
+        EXPECT_EQ(chain.replicable_count(), static_cast<int>(std::lround(0.5 * pin.tasks)));
+        EXPECT_EQ(draws_digest(chain), pin.digest);
     }
 }
 

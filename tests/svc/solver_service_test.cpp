@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -445,6 +448,78 @@ TEST(SolverService, ShutdownChurnNeverHangsOrDropsResults)
             thread.join();
         EXPECT_EQ(bad.load(), 0u) << "round " << round;
     }
+}
+
+// Threads of this process, counted as the kernel lists them; -1 where
+// /proc is not mounted.
+int process_threads()
+{
+    std::error_code error;
+    std::filesystem::directory_iterator tasks{"/proc/self/task", error};
+    if (error)
+        return -1;
+    return static_cast<int>(std::distance(tasks, std::filesystem::directory_iterator{}));
+}
+
+TEST(SolverService, PoolNeverStartsForCallerThreadSolves)
+{
+    const int before = process_threads();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/task";
+    svc::SolverService service{{.workers = 3}};
+    EXPECT_EQ(service.workers(), 3);
+    const auto chains = random_chains(4, 31);
+    for (const auto& chain : chains) {
+        const core::ScheduleRequest request{chain, {2, 2}, core::Strategy::herad};
+        EXPECT_TRUE(service.solve(request).ok());
+        EXPECT_TRUE(service.solve_planned(request).ok());
+        // One claim (a single request, or repeats of one) is the
+        // submitter's alone.
+        EXPECT_EQ(service.solve_batch({request}).size(), 1u);
+        EXPECT_EQ(service.solve_batch({request, request}).size(), 2u);
+    }
+    EXPECT_EQ(process_threads(), before);
+}
+
+TEST(SolverService, PoolStartsOnTheFirstBatchWithTwoClaims)
+{
+    const int before = process_threads();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/task";
+    svc::SolverService service{{.workers = 3}};
+    const auto chains = random_chains(4, 32);
+    std::vector<core::ScheduleRequest> requests;
+    for (const auto& chain : chains)
+        requests.push_back(core::ScheduleRequest{chain, {2, 2}, core::Strategy::herad});
+    for (const auto& result : service.solve_batch(requests))
+        EXPECT_TRUE(result.ok());
+    EXPECT_EQ(process_threads(), before + 3);
+    service.clear_cache();
+    (void)service.solve_batch(requests);
+    EXPECT_EQ(process_threads(), before + 3) << "the pool starts once";
+    service.stop();
+    // A joined thread can linger in /proc for a moment after its exit.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{5};
+    while (process_threads() != before && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    EXPECT_EQ(process_threads(), before);
+}
+
+TEST(SolverService, PoolStopBeforeAnyBatchJoinsNothing)
+{
+    const int before = process_threads();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/task";
+    svc::SolverService service{{.workers = 3}};
+    service.stop();
+    const auto chains = random_chains(2, 33);
+    const auto results = service.solve_batch(
+        {core::ScheduleRequest{chains[0], {2, 2}, core::Strategy::herad},
+         core::ScheduleRequest{chains[1], {2, 2}, core::Strategy::herad}});
+    for (const auto& result : results)
+        EXPECT_EQ(result.error, core::ScheduleError::rejected);
+    EXPECT_EQ(process_threads(), before) << "a stopped service never starts its pool";
+    EXPECT_EQ(service.workers(), 3);
 }
 
 TEST(SharedService, IsASingleProcessWideInstance)
