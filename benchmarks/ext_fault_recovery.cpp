@@ -5,7 +5,11 @@
 // run_with_recovery lands the new schedule. We measure delivered
 // throughput in three windows -- before the failure, during recovery
 // (detection -> first resumed frame) and after -- plus the model's
-// predicted period for the healthy and degraded schedules.
+// predicted period for the healthy and degraded schedules. dsim then
+// replays the same loss on the healthy plan (SimulationConfig::faults):
+// the same loss step picks its degraded schedule, and its departure
+// recurrence predicts the post-loss period and the stall, printed next to
+// the live run's.
 //
 // A second scenario compares the two paths a loss can take, each on the
 // chain that takes it by itself. On R = (0, 4) an all-little chain keeps
@@ -13,11 +17,13 @@
 // is resize-only and lands as an in-flight frame swap that never stops the
 // stream. On R = (1, 3) a mixed chain keeps its cut but rebinds stage 0
 // big -> little: the run drains and the pipeline is rebuilt. The report
-// shows recovery latency, frames dropped and pure swap time for both.
+// shows recovery latency, frames dropped and pure swap time for both, and
+// the path dsim's replay of each loss predicts.
 //
 // Exits 2 when either loss does not recover exactly once through its path
 // (one frame swap and no rebuild; one rebuild) in every repetition -- swap
-// counts, not timings, so the check holds on any machine.
+// counts, not timings, so the check holds on any machine. Whether dsim's
+// predictions match the live run is reported, not checked.
 //
 // Flags: --frames=N (default 600), --task-us=U per-task service (default
 // 300), --kill-at=F failing frame (default frames/3), --swap-reps=R best-of
@@ -27,12 +33,15 @@
 #include "common/argparse.hpp"
 #include "common/table.hpp"
 #include "core/scheduler.hpp"
+#include "dsim/simulator.hpp"
 #include "rt/controller.hpp"
 #include "rt/fault.hpp"
 #include "support/bench_json.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,6 +155,44 @@ int main(int argc, char** argv)
                 "(up to the %lld ms heartbeat timeout) drags down the before-loss fps.\n",
                 static_cast<long long>(config.heartbeat_timeout.count()));
 
+    // -- dsim's replay of the same loss --------------------------------------
+    // Stage 0 loses its core at kill_at on the healthy plan. The warmup ends
+    // at the first departure after the dropped frame, so the measured window
+    // holds post-loss departures only.
+    const auto replay_loss = [&](const core::TaskChain& replay_chain,
+                                 const core::Solution& solution, core::Resources replay_budget,
+                                 std::optional<double> frame_swap_us) {
+        dsim::SimulationConfig sim_config;
+        sim_config.frames = frames;
+        sim_config.warmup_frames = std::min(kill_at + 1, frames - 1);
+        sim_config.faults = {{{kill_at, 0}}, replay_budget};
+        sim_config.faults.frame_swap_us = frame_swap_us;
+        return dsim::simulate(replay_chain, solution, sim_config);
+    };
+    const dsim::SimulationResult predicted = replay_loss(chain, healthy, budget, std::nullopt);
+    const dsim::RecoveryRecord sim_loss =
+        predicted.recoveries.empty() ? dsim::RecoveryRecord{} : predicted.recoveries.front();
+    const bool schedules_match = predicted.final_solution == report.solutions[1];
+    const auto budget_str = [](core::Resources r) {
+        return "(" + std::to_string(r.big) + ", " + std::to_string(r.little) + ")";
+    };
+
+    std::printf("\n== dsim replay of the same loss ==\n");
+    TextTable replay_table({"", "rt (live)", "dsim (replay)"});
+    replay_table.add_row({"degraded schedule", report.solutions[1].decomposition(),
+                          predicted.final_solution.decomposition()});
+    replay_table.add_row({"R after loss", budget_str(controller.budget()),
+                          budget_str(sim_loss.resources_after)});
+    replay_table.add_row({"post-loss period (us)", fmt(after_fps > 0.0 ? 1e6 / after_fps : 0.0, 1),
+                          fmt(predicted.period_us, 1)});
+    replay_table.add_row({"post-loss fps", fmt(after_fps, 1), fmt(predicted.fps, 1)});
+    replay_table.add_row({"stall (ms)", fmt(report.recovery_latency_seconds * 1e3, 2),
+                          fmt(sim_loss.downtime_us * 1e-3, 2)});
+    std::printf("%s\n", replay_table.str().c_str());
+    std::printf("rt's stall is its recovery latency; dsim's is its modelled downtime\n"
+                "(detection + reschedule). Same degraded schedule: %s\n",
+                schedules_match ? "yes" : "no");
+
     // -- frame swap vs rebuild: the path each loss takes by itself ----------
     // t1 is stateful, t2..t5 replicable with a slightly lopsided little-core
     // interval sum. All-little on R = (0, 4): the healthy optimum
@@ -175,10 +222,18 @@ int main(int argc, char** argv)
         int frame_swaps = 0;
         int rebuild_swaps = 0;
         int off_path = 0; ///< repetitions that did not recover exactly once on this path
+        bool dsim_frame_swap = false; ///< the path dsim's replay of the loss predicts
     };
     const auto run_path = [&](const char* mode, const core::TaskChain& path_chain,
                               core::Resources path_budget, bool frame_swap) {
         PathStats best{mode, path_budget};
+        // Any frame swap cost makes dsim report the swap rule's path; only
+        // the path is printed.
+        const dsim::SimulationResult replay =
+            replay_loss(path_chain, rt::Controller{path_chain, path_budget}.solution(),
+                        path_budget, /*frame_swap_us=*/10.0);
+        best.dsim_frame_swap =
+            !replay.recoveries.empty() && replay.recoveries.front().frame_swap_applied;
         for (int rep = 0; rep < swap_reps; ++rep) {
             rt::TaskSequence<Frame> path_sequence;
             for (int i = 1; i <= kTasks; ++i)
@@ -222,15 +277,14 @@ int main(int argc, char** argv)
     const bool on_path = frame.off_path == 0 && rebuild.off_path == 0;
     if (on_path) {
         TextTable path_table({"mode", "R", "recovery latency (ms)", "swap (ms)",
-                              "frames dropped", "swaps"});
+                              "frames dropped", "swaps", "dsim path"});
         for (const PathStats* path : {&frame, &rebuild})
-            path_table.add_row({path->mode,
-                                "(" + std::to_string(path->budget.big) + ", "
-                                    + std::to_string(path->budget.little) + ")",
+            path_table.add_row({path->mode, budget_str(path->budget),
                                 fmt(path->latency_s * 1e3, 2), fmt(path->swap_s * 1e3, 3),
                                 std::to_string(path->dropped),
                                 std::to_string(path->frame_swaps + path->rebuild_swaps) + " "
-                                    + path->mode});
+                                    + path->mode,
+                                path->dsim_frame_swap ? "frame" : "rebuild"});
         std::printf("%s\n", path_table.str().c_str());
         std::printf("frame swap vs rebuild : %.2fx recovery latency\n",
                     rebuild.latency_s / frame.latency_s);
@@ -276,7 +330,8 @@ int main(int argc, char** argv)
                     .set("swap_s", path->swap_s)
                     .set("frames_dropped", path->dropped)
                     .set("rebuild_swaps", path->rebuild_swaps)
-                    .set("frame_swaps", path->frame_swaps);
+                    .set("frame_swaps", path->frame_swaps)
+                    .set("dsim_frame_swap", path->dsim_frame_swap);
         if (on_path)
             json_report.param("frame_latency_speedup_vs_rebuild",
                               rebuild.latency_s / frame.latency_s)
@@ -287,7 +342,14 @@ int main(int argc, char** argv)
             .param("healthy_period_us", healthy.period(chain))
             .param("degraded_period_us", degraded.period(chain))
             .param("healthy_schedule", healthy.decomposition())
-            .param("degraded_schedule", degraded.decomposition());
+            .param("degraded_schedule", degraded.decomposition())
+            .param("dsim_degraded_schedule", predicted.final_solution.decomposition())
+            .param("dsim_big_after", sim_loss.resources_after.big)
+            .param("dsim_little_after", sim_loss.resources_after.little)
+            .param("dsim_period_us", predicted.period_us)
+            .param("dsim_fps", predicted.fps)
+            .param("dsim_downtime_us", sim_loss.downtime_us)
+            .param("dsim_schedule_matches_rt", schedules_match);
         if (!json_report.write_file(json_path)) {
             std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
             return 1;

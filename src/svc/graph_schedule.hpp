@@ -22,7 +22,7 @@
 namespace amp::svc {
 
 struct GraphScheduleRequest {
-    /// Global branch-concatenated chain (e.g. ModuleGraph::decompose order)
+    /// Global branch-concatenated chain (e.g. dvbs2::GraphWorkload::chain)
     /// with per-task weights; chain.size() must equal shape.tasks().
     core::TaskChain chain;
     plan::GraphShape shape;

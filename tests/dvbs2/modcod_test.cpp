@@ -1,4 +1,3 @@
-#include "dvbs2/common/crc.hpp"
 #include "dvbs2/modcod.hpp"
 
 #include "common/rng.hpp"
@@ -8,60 +7,6 @@
 namespace {
 
 using namespace amp::dvbs2;
-
-TEST(Crc8, DetectsSingleBitFlips)
-{
-    amp::Rng rng{1};
-    const Crc8 crc;
-    std::vector<std::uint8_t> bits(80);
-    for (auto& b : bits)
-        b = static_cast<std::uint8_t>(rng() & 1u);
-    crc.append(bits);
-    EXPECT_TRUE(crc.check(bits));
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        bits[i] ^= 1u;
-        EXPECT_FALSE(crc.check(bits)) << "flip at " << i;
-        bits[i] ^= 1u;
-    }
-}
-
-TEST(Crc8, DetectsBurstsUpTo8Bits)
-{
-    amp::Rng rng{2};
-    const Crc8 crc;
-    for (int burst = 2; burst <= 8; ++burst) {
-        std::vector<std::uint8_t> bits(72);
-        for (auto& b : bits)
-            b = static_cast<std::uint8_t>(rng() & 1u);
-        crc.append(bits);
-        const auto start = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(bits.size()) - burst));
-        for (int j = 0; j < burst; ++j)
-            bits[start + static_cast<std::size_t>(j)] ^= 1u;
-        EXPECT_FALSE(crc.check(bits)) << "burst length " << burst;
-    }
-}
-
-TEST(Crc8, EmptyAndShortInputs)
-{
-    const Crc8 crc;
-    EXPECT_EQ(crc.compute({}), 0);
-    EXPECT_FALSE(crc.check({1, 0, 1}));
-    EXPECT_THROW((void)crc.compute({1, 0}, 1, 5), std::out_of_range);
-}
-
-TEST(Crc8, AppendCheckRoundTripManyLengths)
-{
-    amp::Rng rng{3};
-    const Crc8 crc;
-    for (const int length : {1, 7, 8, 9, 63, 80, 512}) {
-        std::vector<std::uint8_t> bits(static_cast<std::size_t>(length));
-        for (auto& b : bits)
-            b = static_cast<std::uint8_t>(rng() & 1u);
-        crc.append(bits);
-        EXPECT_TRUE(crc.check(bits)) << "length " << length;
-    }
-}
 
 TEST(ModCod, RegistryIsConsistent)
 {
