@@ -287,8 +287,6 @@ ArbitrationReport Arbiter::rearbitrate_locked()
             if (granted.budget.total() > 0)
                 next = service().solve_planned(request_for(tenant, granted.budget));
             if (next.ok()) {
-                if (tenant.planned.plan != nullptr)
-                    change.delta = plan::diff(*tenant.planned.plan, *next.plan);
                 if (tenant.endpoint != nullptr) {
                     change.swap = tenant.endpoint->apply(granted.budget, next);
                     switch (change.swap) {

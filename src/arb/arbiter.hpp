@@ -54,9 +54,9 @@ public:
 
     /// Takes the granted `budget` and the plan already solved for it,
     /// retargets the executor onto `next.plan` and reports how it landed.
-    /// The executor diffs the plan against the one it actually runs;
-    /// rebuild_required means it could not take the change now and is
-    /// untouched.
+    /// The executor checks the plan against the one it actually runs
+    /// (plan::resize_only); rebuild_required means it could not take the
+    /// change now and is untouched.
     [[nodiscard]] virtual plan::SwapOutcome apply(core::Resources budget,
                                                   const svc::PlannedSchedule& next) = 0;
 };
@@ -98,9 +98,6 @@ struct TenantChange {
     /// The new plan was only stored: no endpoint is bound, or the tenant
     /// starved out and its plan was dropped.
     bool planned = false;
-    /// diff(previous plan, new plan) over the arbiter's own stored plans;
-    /// default-constructed (empty, compatible) when either side is missing.
-    plan::PlanDelta delta;
 };
 
 /// Outcome of one global allocation pass. `allocation.steps` is the

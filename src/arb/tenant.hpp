@@ -6,7 +6,7 @@
 // a private resource vector within [quota.min, quota.max], solves the
 // tenant's chain on that budget through svc::SolverService, and hands the
 // resulting plan::ExecutionPlan to the tenant's live pipeline (when one is
-// bound) as a hot-swappable delta. The weight expresses the tenant's
+// bound) to land in place or rebuild from. The weight expresses the tenant's
 // fair-share entitlement: at the weighted max-min fair point, tenant
 // throughputs are proportional to weights (rate_i / weight_i equalized
 // across unsaturated tenants).

@@ -193,15 +193,6 @@ struct ScheduleRequest {
 
     /// Warm-start hint; never part of the cache identity.
     WarmStart warm{};
-
-    /// Cache-identity namespace -- unlike the warm-start hint above this
-    /// IS part of svc::key_of. Solves whose answers may legitimately differ
-    /// for byte-identical chains must not share cache entries: a graph
-    /// branch sub-chain (svc::kGraphBranchDomain) is solved and *planned*
-    /// in its branch context, and its compiled plan must never be returned
-    /// for an identical standalone chain (or vice versa). 0 is the default
-    /// whole-chain domain.
-    std::uint8_t cache_domain = 0;
 };
 
 /// Explicit failure signal. The old API signalled failure with an empty

@@ -162,14 +162,14 @@ SimulationResult simulate(const plan::ExecutionPlan& plan, const SimulationConfi
     std::shared_ptr<const plan::ExecutionPlan> replanned; // owns *current after a loss
     // The runtime's own controller takes each loss: same chain, same
     // degraded resource vector, same warm HeRAD re-solve. Its land step
-    // applies Pipeline::retarget's rule -- a resize-only plan::diff against
-    // the running plan swaps in place (no drain), anything else rebuilds.
+    // applies Pipeline::retarget's rule -- a plan::resize_only target swaps
+    // in place (no drain), anything else rebuilds.
     std::optional<rt::Controller> controller;
     if (!pending.empty()) {
         controller.emplace(plan.chain(), faults.budget);
         controller->bind(
             [&current](const svc::PlannedSchedule& next) {
-                return plan::diff(*current, *next.plan).resize_only()
+                return plan::resize_only(*current, *next.plan)
                     ? plan::SwapOutcome::frame
                     : plan::SwapOutcome::rebuild_required;
             },

@@ -75,10 +75,11 @@ struct FailureModel {
     core::Resources budget{};
     double detection_us = 200.0;  ///< watchdog heartbeat-timeout equivalent
     double reschedule_us = 50.0;  ///< solver + full pipeline rebuild cost
-    /// Swap cost when the post-loss plan delta is *resize-only* (every stage
-    /// kept or resized, nothing rebound or recut): the runtime applies it
-    /// mid-segment without draining (Pipeline::retarget's frame outcome),
-    /// so the stall is the in-flight spawn cost, not a drain and rebuild.
+    /// Swap cost when the post-loss plan is *resize-only* against the
+    /// running one (plan::resize_only: only replica counts changed, nothing
+    /// rebound or recut): the runtime lands it mid-segment without draining
+    /// (Pipeline::retarget's frame outcome), so the stall is the in-flight
+    /// spawn cost, not a drain and rebuild.
     /// Unset = every recovery is charged `reschedule_us`.
     std::optional<double> frame_swap_us{};
 };

@@ -25,8 +25,8 @@ ExecutionPlan ExecutionPlan::compile(const GraphShape& graph,
 
     // Stitch: branches in index order, stages within a branch in order. The
     // branch intervals tile [1, n] contiguously, so the stitched stage list
-    // tiles it too and every linear invariant (solution rebuild, period,
-    // apply()) holds unchanged.
+    // tiles it too and every linear invariant (solution rebuild, period)
+    // holds unchanged.
     std::vector<core::Stage> stitched;
     std::vector<int> branch_head(graph.branches.size(), 0);
     std::vector<int> branch_tail(graph.branches.size(), 0);
@@ -67,7 +67,7 @@ ExecutionPlan ExecutionPlan::compile(const GraphShape& graph,
 
             stage.worker_ids.reserve(static_cast<std::size_t>(st.cores));
             for (int slot = 0; slot < st.cores; ++slot) {
-                const int id = p.next_worker_id_++;
+                const int id = static_cast<int>(p.workers_.size());
                 stage.worker_ids.push_back(id);
                 p.workers_.push_back(WorkerSlot{id, stage.index, slot, stage.type});
             }
@@ -184,134 +184,25 @@ std::string ExecutionPlan::summary() const
     return out.str();
 }
 
-PlanDelta diff(const ExecutionPlan& before, const ExecutionPlan& after)
+bool resize_only(const ExecutionPlan& from, const ExecutionPlan& to)
 {
-    PlanDelta delta;
-    const auto incompatible = [&delta](std::string reason) {
-        delta.compatible = false;
-        delta.reason = std::move(reason);
-        delta.stages.clear();
-        delta.spawned = delta.retired = delta.rebound = 0;
-        return delta;
-    };
-    if (before.task_count() != after.task_count())
-        return incompatible("task count changed");
-    if (before.stage_count() != after.stage_count())
-        return incompatible("stage count changed (recut)");
-    if (before.options().queue_capacity != after.options().queue_capacity)
-        return incompatible("queue capacity changed");
-    // Queues hold in-flight frames; rewired edges (a DAG plan against a
-    // linear plan with the same cut, or a different branch structure) can
-    // never be swapped in place.
-    if (before.queues().size() != after.queues().size())
-        return incompatible("queue topology changed");
-    for (std::size_t q = 0; q < before.queues().size(); ++q) {
-        const QueueSpec& qb = before.queues()[q];
-        const QueueSpec& qa = after.queues()[q];
-        if (qb.producer_stage != qa.producer_stage || qb.consumer_stage != qa.consumer_stage)
-            return incompatible("queue topology changed");
-    }
-    for (std::size_t s = 0; s < before.stage_count(); ++s) {
-        const PlanStage& b = before.stage(s);
-        const PlanStage& a = after.stage(s);
-        if (b.first != a.first || b.last != a.last)
-            return incompatible("stage " + std::to_string(s) + " interval recut");
-    }
-    for (std::size_t s = 0; s < before.stage_count(); ++s) {
-        const PlanStage& b = before.stage(s);
-        const PlanStage& a = after.stage(s);
-        StageDelta sd;
-        sd.stage = static_cast<int>(s);
-        sd.replicas_before = b.replicas;
-        sd.replicas_after = a.replicas;
-        sd.type_before = b.type;
-        sd.type_after = a.type;
-        if (b.type != a.type) {
-            sd.action = StageAction::rebound;
-            ++delta.rebound;
-        } else if (b.replicas != a.replicas) {
-            sd.action = StageAction::resized;
-        }
-        if (a.replicas > b.replicas) {
-            sd.spawn_count = a.replicas - b.replicas;
-            delta.spawned += sd.spawn_count;
-        } else if (a.replicas < b.replicas) {
-            // Retire the highest slots; kept workers keep their slot order.
-            const auto keep = static_cast<std::size_t>(a.replicas);
-            sd.retire_worker_ids.assign(b.worker_ids.begin() + static_cast<std::ptrdiff_t>(keep),
-                                        b.worker_ids.end());
-            delta.retired += static_cast<int>(sd.retire_worker_ids.size());
-        }
-        delta.stages.push_back(std::move(sd));
-    }
-    return delta;
-}
-
-ExecutionPlan apply(const ExecutionPlan& base, const PlanDelta& delta)
-{
-    if (!delta.compatible)
-        throw PlanError{"plan: cannot apply an incompatible delta (" + delta.reason + ")"};
-    if (delta.stages.size() != base.stage_count())
-        throw PlanError{"plan: delta does not match the base plan's stage count"};
-
-    ExecutionPlan next = base; // graph, queue topology and stage edges survive
-    next.workers_.clear();
-    std::vector<core::Stage> stages;
-    stages.reserve(next.stages_.size());
-    for (std::size_t s = 0; s < next.stages_.size(); ++s) {
-        PlanStage& stage = next.stages_[s];
-        const StageDelta& sd = delta.stages[s];
-        if (stage.replicas != sd.replicas_before || stage.type != sd.type_before)
-            throw PlanError{"plan: delta was computed against a different base plan"};
-        stage.type = sd.type_after;
-        for (const int id : sd.retire_worker_ids) {
-            const auto it = std::find(stage.worker_ids.begin(), stage.worker_ids.end(), id);
-            if (it == stage.worker_ids.end())
-                throw PlanError{"plan: delta retires unknown worker id "
-                                + std::to_string(id)};
-            stage.worker_ids.erase(it);
-        }
-        for (int i = 0; i < sd.spawn_count; ++i)
-            stage.worker_ids.push_back(next.next_worker_id_++);
-        stage.replicas = static_cast<int>(stage.worker_ids.size());
-        if (stage.replicas != sd.replicas_after)
-            throw PlanError{"plan: delta replica arithmetic does not add up"};
-        if (stage.replicas < 1)
-            throw PlanError{"plan: delta leaves a stage with no workers"};
-        stage.replicated = stage.replicas > 1;
-        if (stage.replicated && stage.sequential)
-            throw PlanError{"plan: delta replicates a sequential stage"};
-        if (next.chain_.has_value())
-            stage.service_us =
-                next.chain_->interval_sum(stage.first, stage.last, stage.type);
-        for (std::size_t slot = 0; slot < stage.worker_ids.size(); ++slot)
-            next.workers_.push_back(WorkerSlot{stage.worker_ids[slot], stage.index,
-                                               static_cast<int>(slot), stage.type});
-        stages.push_back(core::Stage{stage.first, stage.last, stage.replicas, stage.type});
-    }
-    next.solution_ = core::Solution{std::move(stages)};
-    return next;
-}
-
-bool same_topology(const ExecutionPlan& a, const ExecutionPlan& b)
-{
-    if (a.stage_count() != b.stage_count())
+    if (from.task_count() != to.task_count() || from.stage_count() != to.stage_count()
+        || from.options().queue_capacity != to.options().queue_capacity
+        || from.queues().size() != to.queues().size())
         return false;
-    if (a.options().queue_capacity != b.options().queue_capacity)
-        return false;
-    if (a.queues().size() != b.queues().size())
-        return false;
-    for (std::size_t q = 0; q < a.queues().size(); ++q)
-        if (a.queues()[q].producer_stage != b.queues()[q].producer_stage
-            || a.queues()[q].consumer_stage != b.queues()[q].consumer_stage)
-            return false;
-    for (std::size_t s = 0; s < a.stage_count(); ++s) {
-        const PlanStage& x = a.stage(s);
-        const PlanStage& y = b.stage(s);
-        if (x.first != y.first || x.last != y.last || x.replicas != y.replicas
-            || x.type != y.type)
+    for (std::size_t s = 0; s < from.stage_count(); ++s) {
+        const PlanStage& a = from.stage(s);
+        const PlanStage& b = to.stage(s);
+        if (a.first != b.first || a.last != b.last || a.type != b.type)
             return false;
     }
+    // Queues hold in-flight frames: rewired edges (a DAG plan against a
+    // linear plan on the same cut, another branch structure) never swap in
+    // place.
+    for (std::size_t q = 0; q < from.queues().size(); ++q)
+        if (from.queues()[q].producer_stage != to.queues()[q].producer_stage
+            || from.queues()[q].consumer_stage != to.queues()[q].consumer_stage)
+            return false;
     return true;
 }
 

@@ -10,11 +10,11 @@
 // executors consume the resulting IR:
 //
 //   * PlanStage   -- task interval, core type, replica count, sequential
-//                    constraint, per-frame service weight, stable worker ids,
-//                    and explicit predecessor/successor stage edges with the
+//                    constraint, per-frame service weight, worker ids, and
+//                    explicit predecessor/successor stage edges with the
 //                    input/output queues that realize them
-//   * WorkerSlot  -- one replica slot; ids are stable across deltas so a
-//                    hot-swap can name exactly the workers it spawns/retires
+//   * WorkerSlot  -- one replica slot; compile() numbers them 0..N-1,
+//                    stage-major
 //   * QueueSpec   -- inter-stage queue endpoints and capacities; a linear
 //                    plan has exactly one queue between consecutive stages
 //                    (queue i connects stage i to stage i+1), a graph plan
@@ -27,13 +27,12 @@
 // sub-chain solved independently, and the combined period bound is the max
 // over all stages -- exactly period_us().
 //
-// diff(before, after) compares two plans and produces a PlanDelta: per stage
-// kept / resized (replica count changed) / rebound (core type changed), or a
-// whole-plan incompatibility (recut stage structure, different chain, queue
-// capacity or queue topology) that forces a full rebuild. apply(base, delta)
-// yields the successor plan with untouched workers keeping their ids -- the
-// substrate for rt::Pipeline::retarget, which reports how a change landed
-// as a SwapOutcome (docs/EXECUTION_PLAN.md).
+// resize_only(from, to) is the one swap rule: a target that differs from
+// the running plan in replica counts alone lands in place
+// (rt::Pipeline::retarget reports SwapOutcome::frame and publishes the
+// target itself); anything else -- a recut, a rebind, another chain length,
+// queue capacity or queue topology -- needs a rebuild
+// (docs/EXECUTION_PLAN.md).
 
 #include "core/chain.hpp"
 #include "core/solution.hpp"
@@ -54,9 +53,8 @@ struct PlanOptions {
     [[nodiscard]] constexpr bool operator==(const PlanOptions&) const noexcept = default;
 };
 
-/// One replica slot of one stage. `id` is stable: apply() never renumbers a
-/// kept worker, so executors can key threads, trace tracks and heartbeats on
-/// it across hot-swaps.
+/// One replica slot of one stage; compile() numbers the slots 0..N-1 in
+/// stage-major order.
 struct WorkerSlot {
     int id = 0;
     int stage = 0;
@@ -74,7 +72,7 @@ struct PlanStage {
     bool replicated = false;  ///< replicas > 1
     bool sequential = false;  ///< interval contains a non-replicable task
     double service_us = 0.0;  ///< interval weight on `type`; 0 without a profile
-    std::vector<int> worker_ids; ///< stable ids, slot order
+    std::vector<int> worker_ids; ///< WorkerSlot ids, slot order
     int branch = 0;              ///< GraphShape branch this stage belongs to
     std::vector<int> preds;      ///< predecessor stage indices; empty == source
     std::vector<int> succs;      ///< successor stage indices; empty == sink
@@ -95,59 +93,6 @@ struct QueueSpec {
     int producer_stage = 0;
     int consumer_stage = kDrain;
     std::size_t capacity = 8;
-};
-
-/// What happened to one stage between two compatible plans.
-enum class StageAction : std::uint8_t {
-    kept,    ///< identical replicas and core type
-    resized, ///< replica count changed (same core type)
-    rebound, ///< core type changed (replica count may also have changed)
-};
-
-[[nodiscard]] constexpr const char* to_string(StageAction a) noexcept
-{
-    switch (a) {
-    case StageAction::kept: return "kept";
-    case StageAction::resized: return "resized";
-    case StageAction::rebound: return "rebound";
-    }
-    return "?";
-}
-
-struct StageDelta {
-    int stage = 0;
-    StageAction action = StageAction::kept;
-    int replicas_before = 0;
-    int replicas_after = 0;
-    core::CoreType type_before = core::CoreType::big;
-    core::CoreType type_after = core::CoreType::big;
-    int spawn_count = 0;                ///< workers apply() adds (fresh ids)
-    std::vector<int> retire_worker_ids; ///< ids apply() removes (highest slots)
-};
-
-/// Difference between two plans. When `compatible` is false the stage cut
-/// (or the chain, or the queue topology) changed and no in-place swap is
-/// possible -- `reason` says why and `stages` is empty; the executor must
-/// fall back to a full rebuild.
-struct PlanDelta {
-    bool compatible = true;
-    std::string reason;             ///< set when !compatible
-    std::vector<StageDelta> stages; ///< one per stage when compatible
-    int spawned = 0;
-    int retired = 0;
-    int rebound = 0;
-
-    [[nodiscard]] bool empty() const noexcept
-    {
-        return compatible && spawned == 0 && retired == 0 && rebound == 0;
-    }
-
-    /// True when every stage is kept or resized -- no rebinds (and, being
-    /// compatible, no recuts). Such a delta only changes per-stage replica
-    /// counts, which is what qualifies it for a frame-granular in-flight
-    /// swap (SwapOutcome::frame): queues, stage intervals and core-type
-    /// bindings all survive untouched.
-    [[nodiscard]] bool resize_only() const noexcept { return compatible && rebound == 0; }
 };
 
 /// How a retarget onto a new plan landed on a running executor
@@ -235,9 +180,6 @@ public:
     [[nodiscard]] bool has_profile() const noexcept { return chain_.has_value(); }
     [[nodiscard]] const core::TaskChain& chain() const { return chain_.value(); }
 
-    /// First id apply() hands to a spawned worker; monotone across deltas.
-    [[nodiscard]] int next_worker_id() const noexcept { return next_worker_id_; }
-
     /// Model period in us: max over stages of service_us / replicas for
     /// replicable intervals (0 without a profile). Matches Solution::period.
     [[nodiscard]] double period_us() const noexcept;
@@ -254,30 +196,16 @@ private:
     std::vector<PlanStage> stages_;
     std::vector<QueueSpec> queues_;
     std::vector<WorkerSlot> workers_;
-    int next_worker_id_ = 0;
     int source_stage_ = 0;
     int sink_stage_ = 0;
-
-    friend ExecutionPlan apply(const ExecutionPlan& base, const PlanDelta& delta);
 };
 
-/// Structural diff. Compatible iff both plans cut the same task count into
-/// the same stage intervals with the same queue capacity and the same queue
-/// topology (stage edges); then each stage is kept, resized or rebound.
-/// Anything else (recut, different chain length, different queue capacity,
-/// rewired edges -- e.g. a DAG plan against a linear plan with the same
-/// cut) is incompatible and names the reason.
-[[nodiscard]] PlanDelta diff(const ExecutionPlan& before, const ExecutionPlan& after);
-
-/// Applies a compatible delta: kept workers retain their ids, retired slots
-/// are removed, spawned slots get fresh ids from base.next_worker_id().
-/// Throws PlanError when the delta is incompatible or was computed against
-/// a different base.
-[[nodiscard]] ExecutionPlan apply(const ExecutionPlan& base, const PlanDelta& delta);
-
-/// True when the two plans describe the same executable topology: same
-/// stage intervals, replica counts, core types and queue capacities (worker
-/// id labels are ignored -- they are identity, not structure).
-[[nodiscard]] bool same_topology(const ExecutionPlan& a, const ExecutionPlan& b);
+/// True when `to` differs from `from` in replica counts alone, so an
+/// executor running `from` can land it in place (SwapOutcome::frame): same
+/// task count, same stage intervals and core types, same queue capacity,
+/// and the same producer and consumer for every queue. A recut, a rebind,
+/// another chain length or queue capacity, or rewired edges (e.g. a DAG
+/// plan against a linear plan on the same cut) all return false.
+[[nodiscard]] bool resize_only(const ExecutionPlan& from, const ExecutionPlan& to);
 
 } // namespace amp::plan

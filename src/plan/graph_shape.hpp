@@ -22,9 +22,9 @@
 
 namespace amp::plan {
 
-/// Raised by compile()/apply()/GraphShape::validate() on a malformed
-/// solution, delta or graph. Derives from std::invalid_argument so callers
-/// that used to catch the executors' ad-hoc validation errors keep working.
+/// Raised by compile() and GraphShape::validate() on a malformed solution
+/// or graph. Derives from std::invalid_argument so callers that used to
+/// catch the executors' ad-hoc validation errors keep working.
 class PlanError : public std::invalid_argument {
 public:
     using std::invalid_argument::invalid_argument;

@@ -21,14 +21,14 @@
 // Workers are persistent: threads are spawned once (lazily, on the first
 // run) and parked on an epoch condition variable between stream segments,
 // so run() can be called repeatedly. retarget() re-maps the pipeline onto
-// a new plan in place (docs/EXECUTION_PLAN.md §3): it diffs the target
-// against the running plan under the swap lock and lands a resize-only
-// change -- untouched stages keep their threads and queues; only the
-// workers the plan::PlanDelta names are spawned or retired. While a segment
-// is in flight the change lands at a frame boundary *without draining the
-// stream*: spawned workers enter the current epoch and start pulling
-// frames immediately; retired workers finish their in-flight frame and
-// exit. Anything else -- a recut, a rebind -- is reported as
+// a new plan in place (docs/EXECUTION_PLAN.md §3): under the swap lock it
+// lands a target that plan::resize_only accepts against the running plan --
+// every stage keeps its threads and queues, and a stage whose replica count
+// changed spawns or retires the difference. While a segment is in flight
+// the change lands at a frame boundary *without draining the stream*:
+// spawned workers enter the current epoch and start pulling frames
+// immediately; retired workers finish their in-flight frame and exit.
+// Anything else -- a recut, a rebind -- is reported as
 // SwapOutcome::rebuild_required with the pipeline untouched. A loss handler
 // (set_loss_handler) installed by run_with_recovery turns a watchdog fence
 // into such an in-flight swap, which is what cuts recovery latency below
@@ -115,7 +115,7 @@ struct PipelineConfig {
 
 /// One fenced (permanently lost) worker.
 struct WorkerLoss {
-    int worker = -1;                          ///< stable plan worker id
+    int worker = -1;                          ///< worker id, never reused
     int stage = -1;                           ///< stage the worker served
     core::CoreType type = core::CoreType::big; ///< core type lost with it
     std::uint64_t held_frame = 0;             ///< frame it held (kNoFrame if idle)
@@ -159,7 +159,7 @@ public:
     }
 
     /// Runs a pre-compiled plan (e.g. from svc::SolverService::solve_planned
-    /// or plan::apply). The plan's queue capacity wins over
+    /// or svc::schedule_graph). The plan's queue capacity wins over
     /// config.queue_capacity: the plan *is* the queue topology.
     Pipeline(TaskSequence<T>& sequence, plan::ExecutionPlan plan, PipelineConfig config = {})
         : sequence_(sequence)
@@ -361,10 +361,10 @@ public:
     }
 
     /// Re-maps the pipeline onto `target` (docs/EXECUTION_PLAN.md §3.2).
-    /// Diffs it against the plan this pipeline runs and lands the change
-    /// under the swap lock, atomically with respect to every other retarget
-    /// and to segment setup; whether a run is in progress is the
-    /// pipeline's own state, never the caller's:
+    /// Checks it against the plan this pipeline runs (plan::resize_only)
+    /// and lands it under the swap lock, atomically with respect to every
+    /// other retarget and to segment setup; whether a run is in progress is
+    /// the pipeline's own state, never the caller's:
     ///
     ///   * same plan, every slot staffed -> none
     ///   * resize-only change (refilling a fenced worker's slot included)
@@ -375,6 +375,7 @@ public:
     ///     cannot run, or a stateful stage whose original tasks are not
     ///     free within kReclaimTimeout -> rebuild_required
     ///
+    /// A frame swap publishes `target` itself as the running plan.
     /// rebuild_required leaves the pipeline untouched; the owner rebuilds
     /// it from `target`. Never throws on a bad target; safe from any
     /// thread, including the loss handler and the monitor hook. Workers
@@ -384,21 +385,18 @@ public:
     {
         using plan::SwapOutcome;
         std::lock_guard swap_lock{swap_mutex_};
-        const plan::PlanDelta delta = plan::diff(*plan_, target);
-        if (delta.empty() && census_complete())
-            return SwapOutcome::none;
-        if (!delta.resize_only())
+        if (!plan::resize_only(*plan_, target))
             return SwapOutcome::rebuild_required;
-        std::shared_ptr<const plan::ExecutionPlan> next;
+        if (plan_->solution() == target.solution() && census_complete())
+            return SwapOutcome::none;
         try {
-            next = std::make_shared<const plan::ExecutionPlan>(plan::apply(*plan_, delta));
-            validate_against_sequence(*next);
-        } catch (const std::invalid_argument&) { // PlanError included
+            validate_against_sequence(target);
+        } catch (const std::invalid_argument&) {
             return SwapOutcome::rebuild_required;
         }
-        if (running_ && !reclaim_originals(*next))
+        if (running_ && !reclaim_originals(target))
             return SwapOutcome::rebuild_required;
-        land(std::move(next));
+        land(std::make_shared<const plan::ExecutionPlan>(target));
         return SwapOutcome::frame;
     }
 
@@ -439,8 +437,8 @@ public:
             workers_.begin(), workers_.end(), [](const auto& worker) { return alive(*worker); }));
     }
 
-    /// Total worker threads ever spawned by this pipeline (monotone; grows
-    /// by exactly the delta's spawn count on each retarget).
+    /// Total worker threads ever spawned by this pipeline (monotone; a
+    /// retarget adds the workers it spawned).
     [[nodiscard]] int spawned_workers() const noexcept { return spawned_total_.load(); }
 
 private:
@@ -451,8 +449,8 @@ private:
     static constexpr std::chrono::microseconds kRetryBackoff{200};
 
     /// A stage's queue endpoints, resolved once at materialize (the queue
-    /// topology is immutable for the pipeline's lifetime -- resize-only
-    /// deltas never change it). Fan-in stages (>1 input) share one merge
+    /// topology is immutable for the pipeline's lifetime -- a resize-only
+    /// retarget never changes it). Fan-in stages (>1 input) share one merge
     /// gate between their workers.
     struct StageIO {
         std::vector<OrderedQueue<T>*> ins;  ///< plan order (pred order)
@@ -464,7 +462,7 @@ private:
     /// segments; the atomics are reset at every segment start.
     struct Worker {
         // -- persistent identity (mutated only between segments) ----------
-        int id = 0;    ///< stable plan worker id (tracks, heartbeats, faults)
+        int id = 0;    ///< never reused (tracks, heartbeats, faults)
         int stage = 0;
         std::vector<std::unique_ptr<Task<T>>> clones; ///< empty when borrowing
         std::vector<Task<T>*> tasks;
@@ -669,8 +667,7 @@ private:
             trace_ = &config_.sink->trace();
 
         for (const plan::WorkerSlot& slot : plan_->workers())
-            spawn_worker(slot.stage, slot.id);
-        next_worker_id_ = plan_->next_worker_id();
+            spawn_worker(slot.stage);
         if (trace_ != nullptr)
             watchdog_track_ = trace_->add_track(obs::schema::kWatchdogTrack);
         materialized_ = true;
@@ -679,14 +676,15 @@ private:
     /// Spawns one worker thread for `stage`. The stage's first worker
     /// borrows the sequence's original task instances (required for
     /// stateful stages, whose tasks cannot clone); every other worker owns
-    /// clones. `id` < 0 allocates the next pipeline-local id. While a
-    /// segment is open the worker joins it (it starts pulling frames at
-    /// once); otherwise it parks for the next one. Caller holds
-    /// swap_mutex_ and workers_mutex_ (materialize: no other thread yet).
-    void spawn_worker(int stage, int id = -1)
+    /// clones. Ids come from the pipeline's own counter, so the initial
+    /// workers carry the plan's dense slot ids 0..N-1. While a segment is
+    /// open the worker joins it (it starts pulling frames at once);
+    /// otherwise it parks for the next one. Caller holds swap_mutex_ and
+    /// workers_mutex_ (materialize: no other thread yet).
+    void spawn_worker(int stage)
     {
         auto worker = std::make_unique<Worker>();
-        worker->id = id >= 0 ? id : next_worker_id_++;
+        worker->id = worker_ids_issued_++;
         worker->stage = stage;
         const core::Stage& spec = stages_[static_cast<std::size_t>(stage)];
         if (originals_free(stage)) {
@@ -878,10 +876,6 @@ private:
         }
         if (!materialized_)
             return; // materialize() spawns the plan's workers
-        // Stay ahead of the plan's id counter: replacement workers spawned
-        // for fenced slots (which the plan does not know about) must never
-        // reuse an id a future delta could hand out.
-        next_worker_id_ = std::max(next_worker_id_, next->next_worker_id());
 
         std::lock_guard lock{workers_mutex_};
         if (!running_)
@@ -1427,7 +1421,7 @@ private:
     std::vector<std::unique_ptr<FanInGate<T>>> gates_;
     OrderedQueue<T>* drain_ = nullptr; ///< the queue run_from consumes
     std::vector<std::unique_ptr<Worker>> workers_;
-    int next_worker_id_ = 0;
+    int worker_ids_issued_ = 0;
     std::atomic<int> spawned_total_{0};
     bool materialized_ = false;
 

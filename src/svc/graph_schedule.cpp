@@ -9,17 +9,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Max branch period if branch `b` moved to `candidate` while the others
-/// stay at their current periods.
-double bottleneck_with(const std::vector<double>& periods, std::size_t b, double candidate)
-{
-    double worst = candidate;
-    for (std::size_t i = 0; i < periods.size(); ++i)
-        if (i != b)
-            worst = std::max(worst, periods[i]);
-    return worst;
-}
-
 } // namespace
 
 std::vector<core::TaskChain> branch_chains(const core::TaskChain& chain,
@@ -64,7 +53,6 @@ GraphSchedule schedule_graph(const GraphScheduleRequest& request, SolverService&
         rq.resources = budget;
         rq.strategy = request.strategy;
         rq.options = request.options;
-        rq.cache_domain = kGraphBranchDomain;
         ++out.solves;
         return service.solve(rq);
     };
@@ -107,17 +95,28 @@ GraphSchedule schedule_graph(const GraphScheduleRequest& request, SolverService&
         bs.period_us = periods[b];
     }
 
-    // Water-filling: grant one core at a time to the (branch, type)
-    // assignment that most reduces the bottleneck period; stop when no
-    // assignment strictly improves it (leftover cores stay unused -- a
-    // bigger budget that cannot lower the period only burns power).
+    // Water-filling, one core per round. The branches at the bottleneck
+    // (the max branch period) must each have a one-core extension that
+    // lowers its own period; when one has none, no grant can lower the
+    // bottleneck and filling stops (leftover cores stay unused -- a bigger
+    // budget that cannot lower the period only burns power). Otherwise the
+    // first of them takes the extension that leaves the lowest bottleneck
+    // (big on ties), so branches tied at the bottleneck are filled in turn.
     while (remaining.big + remaining.little > 0) {
-        double best_bottleneck = kInf;
-        std::size_t best_branch = nb;
-        core::CoreType best_type = core::CoreType::big;
-        core::ScheduleResult best_result;
         const double current = *std::max_element(periods.begin(), periods.end());
-        for (std::size_t b = 0; b < nb; ++b) {
+        std::size_t grant_branch = nb;
+        core::CoreType grant_type = core::CoreType::big;
+        core::ScheduleResult grant_result;
+        double grant_bottleneck = kInf;
+        bool stuck = false;
+        for (std::size_t b = 0; b < nb && !stuck; ++b) {
+            if (periods[b] < current)
+                continue;
+            double rest = 0.0; // bottleneck over the other branches
+            for (std::size_t i = 0; i < nb; ++i)
+                if (i != b)
+                    rest = std::max(rest, periods[i]);
+            stuck = true;
             for (const core::CoreType type : {core::CoreType::big, core::CoreType::little}) {
                 if ((type == core::CoreType::big ? remaining.big : remaining.little) <= 0)
                     continue;
@@ -125,23 +124,26 @@ GraphSchedule schedule_graph(const GraphScheduleRequest& request, SolverService&
                 (type == core::CoreType::big ? budget.big : budget.little) += 1;
                 core::ScheduleResult r = probe(b, budget);
                 const double p = period_of(b, r);
-                const double bn = bottleneck_with(periods, b, p);
-                if (bn < best_bottleneck) {
-                    best_bottleneck = bn;
-                    best_branch = b;
-                    best_type = type;
-                    best_result = std::move(r);
+                if (p >= periods[b])
+                    continue;
+                stuck = false;
+                const bool first_at_bottleneck = grant_branch == nb || grant_branch == b;
+                if (first_at_bottleneck && std::max(p, rest) < grant_bottleneck) {
+                    grant_branch = b;
+                    grant_type = type;
+                    grant_result = std::move(r);
+                    grant_bottleneck = std::max(p, rest);
                 }
             }
         }
-        if (best_branch == nb || best_bottleneck >= current)
+        if (stuck)
             break;
-        BranchSchedule& bs = out.branches[best_branch];
-        (best_type == core::CoreType::big ? bs.budget.big : bs.budget.little) += 1;
-        (best_type == core::CoreType::big ? remaining.big : remaining.little) -= 1;
-        bs.result = std::move(best_result);
-        periods[best_branch] = period_of(best_branch, bs.result);
-        bs.period_us = periods[best_branch];
+        BranchSchedule& bs = out.branches[grant_branch];
+        (grant_type == core::CoreType::big ? bs.budget.big : bs.budget.little) += 1;
+        (grant_type == core::CoreType::big ? remaining.big : remaining.little) -= 1;
+        bs.result = std::move(grant_result);
+        periods[grant_branch] = period_of(grant_branch, bs.result);
+        bs.period_us = periods[grant_branch];
     }
 
     std::vector<core::Solution> solutions;

@@ -5,13 +5,15 @@
 // ExecutionPlan with a combined period bound.
 //
 // Core allocation is greedy water-filling: each branch is seeded with one
-// core, then the remaining cores go one at a time to whichever (branch,
-// core-type) assignment most reduces the bottleneck -- the max over branches
-// of the branch period, which is exactly the stitched plan's period_us().
-// Every probe is a plain service solve under kGraphBranchDomain, so repeated
-// probes of the same (branch, budget) pair hit the solution cache, and a
-// branch's cached entry can never be confused with an identical standalone
-// chain (docs/SOLVER_SERVICE.md).
+// core, then the remaining cores go one at a time to the branches at the
+// bottleneck -- the max over branches of the branch period, which is
+// exactly the stitched plan's period_us(). Each round the first branch at
+// the bottleneck takes the one-core extension that leaves the lowest
+// bottleneck; filling stops when a branch at the bottleneck has no
+// extension that lowers its own period. Every probe is a plain service
+// solve, so repeated probes of the same (branch, budget) pair hit the
+// solution cache; the key is content-based, so a branch sub-chain and an
+// identical standalone chain share one entry (docs/SOLVER_SERVICE.md).
 
 #include "plan/execution_plan.hpp"
 #include "svc/solver_service.hpp"

@@ -55,17 +55,9 @@ struct CacheKey {
     /// energy objective) and the headroom keeps the next option from
     /// silently truncating.
     std::uint16_t options = 0;
-    /// ScheduleRequest::cache_domain: separates namespaces whose entries
-    /// must not mix even for byte-identical chains -- e.g. a linearized
-    /// graph branch (kGraphBranchDomain) carries a branch-context compiled
-    /// plan that an identical standalone chain must never receive.
-    std::uint8_t domain = 0;
 
     [[nodiscard]] constexpr bool operator==(const CacheKey&) const noexcept = default;
 };
-
-/// Domain for graph-branch sub-chain solves (svc::schedule_graph).
-inline constexpr std::uint8_t kGraphBranchDomain = 1;
 
 [[nodiscard]] inline CacheKey key_of(const core::ScheduleRequest& request) noexcept
 {
@@ -76,8 +68,7 @@ inline constexpr std::uint8_t kGraphBranchDomain = 1;
                     .big = request.resources.big,
                     .little = request.resources.little,
                     .strategy = static_cast<std::uint8_t>(request.strategy),
-                    .options = request.options.key_bits(),
-                    .domain = request.cache_domain};
+                    .options = request.options.key_bits()};
 }
 
 /// splitmix64-style mix of the key fields; also decides the shard.
@@ -90,8 +81,7 @@ inline constexpr std::uint8_t kGraphBranchDomain = 1;
         | static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.little));
     x ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.chain_tasks)) << 16)
         ^ (static_cast<std::uint64_t>(key.strategy) << 40)
-        ^ (static_cast<std::uint64_t>(key.options) << 48)
-        ^ (static_cast<std::uint64_t>(key.domain) << 24);
+        ^ (static_cast<std::uint64_t>(key.options) << 48);
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;

@@ -1,6 +1,7 @@
-// Satellite coverage: the plan::diff deltas the arbiter produces for
-// budget-change pairs -- grow and shrink on both core types, the
-// rebuild-required recut path, and quota_min clamping edge cases.
+// Satellite coverage: how the arbiter's budget changes land on a bound
+// endpoint that applies rt::Pipeline::retarget's rule (plan::resize_only)
+// -- grow and shrink on both core types, the rebuild-required recut path,
+// a tenant without an endpoint -- and quota_min clamping edge cases.
 
 #include "arb/arbiter.hpp"
 #include "svc/solver_service.hpp"
@@ -34,34 +35,41 @@ public:
     {
     }
 
-    /// Diffs `next` against the plan it runs, as rt::Pipeline::retarget
+    /// Checks `next` against the plan it runs, as rt::Pipeline::retarget
     /// does; a resize-only change lands as a frame swap.
     [[nodiscard]] plan::SwapOutcome apply(core::Resources /*budget*/,
                                           const svc::PlannedSchedule& planned) override
     {
         const plan::ExecutionPlan& next = *planned.plan;
-        const plan::PlanDelta delta = plan::diff(plan_, next);
-        deltas.push_back(delta);
-        if (delta.empty())
-            return plan::SwapOutcome::none;
-        if (!delta.resize_only())
+        resizes.push_back(plan::resize_only(plan_, next));
+        if (!resizes.back())
             return plan::SwapOutcome::rebuild_required;
+        if (next.solution() == plan_.solution())
+            return plan::SwapOutcome::none;
         plan_ = next;
         return plan::SwapOutcome::frame;
     }
 
-    std::vector<plan::PlanDelta> deltas;
+    [[nodiscard]] const plan::ExecutionPlan& running_plan() const { return plan_; }
+
+    std::vector<bool> resizes; ///< plan::resize_only of each apply call
 
 private:
     plan::ExecutionPlan plan_;
 };
 
+/// What the second arbitration pass left on the endpoint.
+struct Landing {
+    bool resize_only = false; ///< plan::resize_only against the running plan
+    int workers = 0;          ///< worker slots of the endpoint's plan afterwards
+};
+
 class ArbiterDeltaTest : public ::testing::Test {
 protected:
     /// Arbitrates a single tenant at `from`, binds a capturing endpoint,
-    /// resizes the pool to `to` and returns the delta of the second pass.
-    plan::PlanDelta resize_delta(core::TaskChain chain, core::Resources from,
-                                 core::Resources to, plan::SwapOutcome expected)
+    /// resizes the pool to `to` and reports how the second pass landed.
+    Landing resize_pass(core::TaskChain chain, core::Resources from, core::Resources to,
+                        plan::SwapOutcome expected)
     {
         ArbiterConfig config;
         config.pool = from;
@@ -72,7 +80,7 @@ protected:
 
         const TenantStatus status = arbiter.status(id);
         if (!status.planned.ok())
-            throw std::logic_error{"resize_delta: first pass produced no plan"};
+            throw std::logic_error{"resize_pass: first pass produced no plan"};
         CapturingEndpoint endpoint{*status.planned.plan};
         arbiter.bind_endpoint(id, &endpoint);
         arbiter.set_pool(to);
@@ -80,8 +88,9 @@ protected:
         EXPECT_EQ(report.changes.size(), 1u);
         EXPECT_EQ(report.changes[0].after, arbiter.status(id).budget);
         EXPECT_EQ(report.changes[0].swap, expected);
-        EXPECT_EQ(endpoint.deltas.size(), 1u);
-        return report.changes[0].delta;
+        EXPECT_EQ(endpoint.resizes.size(), 1u);
+        return Landing{!endpoint.resizes.empty() && endpoint.resizes[0],
+                       endpoint.running_plan().worker_count()};
     }
 
     svc::SolverService service_{svc::ServiceConfig{.workers = 2}};
@@ -90,59 +99,51 @@ protected:
 TEST_F(ArbiterDeltaTest, GrowOnBigCoresIsAResizeOnlySpawn)
 {
     // Big-biased replicable chain: one big-core stage under every budget.
-    const plan::PlanDelta delta = resize_delta(replicable_chain(10.0, 10000.0),
-                                               core::Resources{2, 0},
-                                               core::Resources{4, 0}, plan::SwapOutcome::frame);
-    EXPECT_TRUE(delta.compatible);
-    EXPECT_TRUE(delta.resize_only());
-    EXPECT_EQ(delta.spawned, 2);
-    EXPECT_EQ(delta.retired, 0);
+    const Landing landing = resize_pass(replicable_chain(10.0, 10000.0), core::Resources{2, 0},
+                                        core::Resources{4, 0}, plan::SwapOutcome::frame);
+    EXPECT_TRUE(landing.resize_only);
+    EXPECT_EQ(landing.workers, 4);
 }
 
 TEST_F(ArbiterDeltaTest, ShrinkOnBigCoresIsAResizeOnlyRetire)
 {
-    const plan::PlanDelta delta = resize_delta(replicable_chain(10.0, 10000.0),
-                                               core::Resources{4, 0},
-                                               core::Resources{2, 0}, plan::SwapOutcome::frame);
-    EXPECT_TRUE(delta.resize_only());
-    EXPECT_EQ(delta.retired, 2);
-    EXPECT_EQ(delta.spawned, 0);
+    const Landing landing = resize_pass(replicable_chain(10.0, 10000.0), core::Resources{4, 0},
+                                        core::Resources{2, 0}, plan::SwapOutcome::frame);
+    EXPECT_TRUE(landing.resize_only);
+    EXPECT_EQ(landing.workers, 2);
 }
 
 TEST_F(ArbiterDeltaTest, GrowOnLittleCoresIsAResizeOnlySpawn)
 {
     // Little-biased chain: the same shape on the other core type.
-    const plan::PlanDelta delta = resize_delta(replicable_chain(10000.0, 10.0),
-                                               core::Resources{0, 2},
-                                               core::Resources{0, 4}, plan::SwapOutcome::frame);
-    EXPECT_TRUE(delta.resize_only());
-    EXPECT_EQ(delta.spawned, 2);
+    const Landing landing = resize_pass(replicable_chain(10000.0, 10.0), core::Resources{0, 2},
+                                        core::Resources{0, 4}, plan::SwapOutcome::frame);
+    EXPECT_TRUE(landing.resize_only);
+    EXPECT_EQ(landing.workers, 4);
 }
 
 TEST_F(ArbiterDeltaTest, ShrinkOnLittleCoresIsAResizeOnlyRetire)
 {
-    const plan::PlanDelta delta = resize_delta(replicable_chain(10000.0, 10.0),
-                                               core::Resources{0, 4},
-                                               core::Resources{0, 2}, plan::SwapOutcome::frame);
-    EXPECT_TRUE(delta.resize_only());
-    EXPECT_EQ(delta.retired, 2);
+    const Landing landing = resize_pass(replicable_chain(10000.0, 10.0), core::Resources{0, 4},
+                                        core::Resources{0, 2}, plan::SwapOutcome::frame);
+    EXPECT_TRUE(landing.resize_only);
+    EXPECT_EQ(landing.workers, 2);
 }
 
 TEST_F(ArbiterDeltaTest, RecutBudgetChangeDemandsARebuild)
 {
     // Three sequential tasks: one core runs them as a single stage, two
-    // cores split the chain -- a different stage cut, which no delta can
-    // express. The endpoint refuses and the arbiter reports it.
+    // cores split the chain -- a different stage cut, which cannot land in
+    // place. The endpoint refuses and the arbiter reports it.
     const core::TaskChain sequential = amp::testing::make_chain(
         {{10.0, 10.0, false}, {10.0, 10.0, false}, {10.0, 10.0, false}});
-    const plan::PlanDelta delta =
-        resize_delta(sequential, core::Resources{1, 0}, core::Resources{2, 0},
-                     plan::SwapOutcome::rebuild_required);
-    EXPECT_FALSE(delta.compatible);
-    EXPECT_FALSE(delta.reason.empty());
+    const Landing landing = resize_pass(sequential, core::Resources{1, 0}, core::Resources{2, 0},
+                                        plan::SwapOutcome::rebuild_required);
+    EXPECT_FALSE(landing.resize_only);
+    EXPECT_EQ(landing.workers, 1) << "the endpoint keeps running its old plan";
 }
 
-TEST_F(ArbiterDeltaTest, WithoutAnEndpointTheDeltaIsStillReported)
+TEST_F(ArbiterDeltaTest, WithoutAnEndpointTheChangeIsOnlyPlanned)
 {
     ArbiterConfig config;
     config.pool = core::Resources{2, 0};
@@ -157,10 +158,6 @@ TEST_F(ArbiterDeltaTest, WithoutAnEndpointTheDeltaIsStillReported)
     ASSERT_EQ(report.changes.size(), 1u);
     EXPECT_TRUE(report.changes[0].planned);
     EXPECT_EQ(report.changes[0].swap, plan::SwapOutcome::none);
-    // The delta is diffed against the previously stored plan, so an owner
-    // polling status() can still hot-swap by hand.
-    EXPECT_TRUE(report.changes[0].delta.resize_only());
-    EXPECT_EQ(report.changes[0].delta.spawned, 2);
     EXPECT_EQ(arbiter.status(id).generation, report.generation);
 }
 

@@ -51,25 +51,24 @@ public:
     {
     }
 
-    /// Diffs `next` against the plan it runs, as rt::Pipeline::retarget
+    /// Checks `next` against the plan it runs, as rt::Pipeline::retarget
     /// does; a resize-only change lands as a frame swap.
     [[nodiscard]] plan::SwapOutcome apply(core::Resources /*budget*/,
                                           const svc::PlannedSchedule& planned) override
     {
         const plan::ExecutionPlan& next = *planned.plan;
-        const plan::PlanDelta delta = plan::diff(plan_, next);
-        deltas.push_back(delta);
-        if (delta.empty())
-            return plan::SwapOutcome::none;
-        if (!delta.resize_only())
+        resizes.push_back(plan::resize_only(plan_, next));
+        if (!resizes.back())
             return plan::SwapOutcome::rebuild_required;
+        if (next.solution() == plan_.solution())
+            return plan::SwapOutcome::none;
         plan_ = next;
         return plan::SwapOutcome::frame;
     }
 
     [[nodiscard]] const plan::ExecutionPlan& running_plan() const { return plan_; }
 
-    std::vector<plan::PlanDelta> deltas;
+    std::vector<bool> resizes; ///< plan::resize_only of each apply call
 
 private:
     plan::ExecutionPlan plan_;
@@ -184,8 +183,8 @@ TEST_F(ArbiterTest, BudgetChangePushesAFrameSwapThroughTheEndpoint)
     EXPECT_EQ(report.changes[0].swap, plan::SwapOutcome::frame);
     EXPECT_EQ(report.frame_swaps(), 1);
     EXPECT_EQ(report.rebuilds_required(), 0);
-    ASSERT_EQ(endpoint.deltas.size(), 1u);
-    EXPECT_TRUE(endpoint.deltas[0].resize_only());
+    ASSERT_EQ(endpoint.resizes.size(), 1u);
+    EXPECT_TRUE(endpoint.resizes[0]);
     EXPECT_EQ(endpoint.running_plan().worker_count(), 4);
 }
 

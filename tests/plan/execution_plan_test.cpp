@@ -55,7 +55,6 @@ TEST(ExecutionPlanCompile, RoundTripsEveryStrategyOnRandomChains)
             }
             EXPECT_EQ(expected_first, chain.size() + 1) << "plan covers the whole chain";
             EXPECT_EQ(p.worker_count(), next_id);
-            EXPECT_EQ(p.next_worker_id(), next_id);
 
             ASSERT_EQ(p.queues().size(), p.stage_count());
             for (std::size_t q = 0; q + 1 < p.queues().size(); ++q) {

@@ -62,9 +62,8 @@ TaskChain resize_only_chain()
     return TaskChain{std::move(tasks)};
 }
 
-/// Mixed-type sibling (the PR-4 hot-swap chain): its kill recovery keeps
-/// the cut but rebinds stage 0 big -> little, which is delta-compatible yet
-/// NOT resize-only.
+/// Mixed-type sibling: its kill recovery keeps the cut but rebinds stage 0
+/// big -> little, which is NOT resize-only.
 TaskChain rebind_chain()
 {
     std::vector<TaskDesc> tasks;
@@ -89,30 +88,19 @@ TEST(PlanDeltaResizeOnly, ClassifiesResizeRebindAndRecut)
     const plan::ExecutionPlan base = compile_two_stage(chain, CoreType::big, 2);
 
     // Pure resize: one stage grows, nothing rebound.
-    const plan::PlanDelta resize =
-        plan::diff(base, compile_two_stage(chain, CoreType::big, 3));
-    ASSERT_TRUE(resize.compatible) << resize.reason;
-    EXPECT_EQ(resize.rebound, 0);
-    EXPECT_EQ(resize.spawned, 1);
-    EXPECT_TRUE(resize.resize_only());
+    EXPECT_TRUE(plan::resize_only(base, compile_two_stage(chain, CoreType::big, 3)));
 
-    // Same cut but stage 0 rebound big -> little: compatible, not resize-only.
-    const plan::PlanDelta rebind =
-        plan::diff(base, compile_two_stage(chain, CoreType::little, 2));
-    ASSERT_TRUE(rebind.compatible) << rebind.reason;
-    EXPECT_EQ(rebind.rebound, 1);
-    EXPECT_FALSE(rebind.resize_only());
+    // Same cut but stage 0 rebound big -> little: not resize-only.
+    EXPECT_FALSE(plan::resize_only(base, compile_two_stage(chain, CoreType::little, 2)));
 
-    // A recut is incompatible, so never resize-only either.
+    // A recut is never resize-only either.
     const plan::ExecutionPlan recut = plan::ExecutionPlan::compile(
         chain, core::Solution{std::vector<Stage>{{1, 2, 1, CoreType::big},
                                                  {3, 5, 2, CoreType::little}}});
-    const plan::PlanDelta incompatible = plan::diff(base, recut);
-    EXPECT_FALSE(incompatible.compatible);
-    EXPECT_FALSE(incompatible.resize_only());
+    EXPECT_FALSE(plan::resize_only(base, recut));
 
-    // The no-op delta is trivially resize-only.
-    EXPECT_TRUE(plan::diff(base, base).resize_only());
+    // The plan against itself is trivially resize-only.
+    EXPECT_TRUE(plan::resize_only(base, base));
 }
 
 TEST(PipelineFrameSwap, RefusesNonResizeOnlyDeltas)

@@ -70,12 +70,11 @@ TEST(PipelineApplyDelta, ResizesAndShrinksBetweenSegments)
     EXPECT_EQ(first.frames, 15u);
     EXPECT_EQ(pipeline.live_workers(), 3);
 
-    // Grow stage 1 to three replicas: one spawned worker, kept ids intact.
+    // Grow stage 1 to three replicas: one spawned worker.
     const plan::ExecutionPlan grown = plan::ExecutionPlan::compile(
         chain, core::Solution{std::vector<Stage>{{1, 1, 1, CoreType::big},
                                                  {2, 5, 3, CoreType::little}}});
-    const plan::PlanDelta grow = plan::diff(initial, grown);
-    ASSERT_TRUE(grow.compatible) << grow.reason;
+    ASSERT_TRUE(plan::resize_only(initial, grown));
     EXPECT_EQ(pipeline.retarget(grown), plan::SwapOutcome::frame);
     EXPECT_EQ(pipeline.live_workers(), 4);
     EXPECT_EQ(pipeline.spawned_workers(), 4);
@@ -87,9 +86,7 @@ TEST(PipelineApplyDelta, ResizesAndShrinksBetweenSegments)
     const plan::ExecutionPlan shrunk = plan::ExecutionPlan::compile(
         chain, core::Solution{std::vector<Stage>{{1, 1, 1, CoreType::big},
                                                  {2, 5, 2, CoreType::little}}});
-    const plan::PlanDelta shrink = plan::diff(grown, shrunk);
-    ASSERT_TRUE(shrink.resize_only()) << shrink.reason;
-    EXPECT_EQ(shrink.retired, 1);
+    ASSERT_TRUE(plan::resize_only(grown, shrunk));
     EXPECT_EQ(pipeline.retarget(shrunk), plan::SwapOutcome::frame);
     EXPECT_EQ(pipeline.live_workers(), 3);
     EXPECT_EQ(pipeline.spawned_workers(), 4) << "shrinking spawns nothing";
@@ -102,7 +99,7 @@ TEST(PipelineApplyDelta, ResizesAndShrinksBetweenSegments)
     for (std::size_t i = 0; i < delivered.size(); ++i)
         EXPECT_EQ(delivered[i], i);
 
-    EXPECT_TRUE(plan::same_topology(*pipeline.execution_plan(), shrunk));
+    EXPECT_EQ(pipeline.execution_plan()->solution(), shrunk.solution());
 }
 
 TEST(PipelineApplyDelta, RejectsIncompatibleDelta)
@@ -117,7 +114,7 @@ TEST(PipelineApplyDelta, RejectsIncompatibleDelta)
                                                  {3, 5, 2, CoreType::little}}});
 
     rt::Pipeline<Frame> pipeline{seq, initial, rt::PipelineConfig{}};
-    ASSERT_FALSE(plan::diff(initial, recut).compatible);
+    ASSERT_FALSE(plan::resize_only(initial, recut));
     const auto before = pipeline.execution_plan();
     EXPECT_EQ(pipeline.retarget(recut), plan::SwapOutcome::rebuild_required);
     EXPECT_EQ(pipeline.execution_plan(), before) << "a recut leaves the pipeline untouched";

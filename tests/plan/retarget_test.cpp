@@ -153,7 +153,7 @@ TEST(PipelineRetarget, OutcomeTable)
             EXPECT_EQ(*outcome, row.expected)
                 << to_string(*outcome) << " vs " << to_string(row.expected);
             if (row.expected == SwapOutcome::frame) {
-                EXPECT_TRUE(plan::same_topology(*after.plan, target));
+                EXPECT_EQ(after.plan->solution(), target.solution());
                 EXPECT_EQ(after.live, target.worker_count());
             } else {
                 EXPECT_EQ(after.plan.get(), before.plan.get()) << "same plan snapshot";
@@ -256,9 +256,9 @@ TEST(PipelineRetarget, GrowThenShrinkInFlightSettlesTheSpawnedWorker)
     const TaskChain chain = five_task_chain(200.0, 60.0);
     const plan::ExecutionPlan small = herad_plan(chain, {0, 2});
     const plan::ExecutionPlan grown = herad_plan(chain, {0, 3});
-    ASSERT_TRUE(plan::same_topology(small, two_stage(chain, 1, CoreType::little, 1)))
+    ASSERT_EQ(small.solution(), two_stage(chain, 1, CoreType::little, 1).solution())
         << small.summary();
-    ASSERT_TRUE(plan::same_topology(grown, two_stage(chain, 1, CoreType::little, 2)))
+    ASSERT_EQ(grown.solution(), two_stage(chain, 1, CoreType::little, 2).solution())
         << grown.summary();
 
     auto seq = make_sequence();
