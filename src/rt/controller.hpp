@@ -433,19 +433,21 @@ struct RecoveryReport {
     double swap_seconds = 0.0;
 };
 
-/// Runs the stream [config.first_frame, num_frames) with automatic recovery,
-/// driving `controller`'s loss step. On every fence a PipelineControl
-/// binding shrinks the budget, re-solves and retargets the running
-/// pipeline; a resize-only change lands as a frame swap and the stream
-/// never stops. A declined loss that empties a stage drains the run; the
-/// pipeline is then rebuilt on the controller's plan and the stream resumes
-/// at the exact frame the degraded run drained to; any other declined loss
-/// runs on with the surviving workers. Stops after `max_recoveries`
-/// hot-swaps (default: one per core of the initial budget). Throws
-/// NoScheduleError if the degraded resources cannot run the chain at all.
+/// Runs the stream [0, num_frames), as Pipeline::run does, with automatic
+/// recovery driving `controller`'s loss step. On every fence a
+/// PipelineControl binding shrinks the budget, re-solves and retargets the
+/// running pipeline; a resize-only change lands as a frame swap and the
+/// stream never stops. A declined loss that empties a stage drains the run;
+/// the pipeline is then rebuilt on the controller's plan and resumes with
+/// run_from(stream_end, ...), at the exact frame the degraded run drained
+/// to; any other declined loss runs on with the surviving workers. Stops
+/// after `max_recoveries` hot-swaps (default: one per core of the initial
+/// budget). Throws NoScheduleError if the degraded resources cannot run the
+/// chain at all, and rethrows what a run throws (a task past its retries,
+/// or ControlConfig::on_resize on the watchdog thread).
 template <typename T>
 RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Controller& controller,
-                                 std::uint64_t num_frames, PipelineConfig config = {},
+                                 std::uint64_t num_frames, const PipelineConfig& config = {},
                                  const std::function<void(T&)>& on_output = {},
                                  int max_recoveries = -1)
 {
@@ -458,11 +460,10 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Controller& controll
 
     RecoveryReport report;
     report.solutions.push_back(controller.solution());
-    report.total.stream_end = config.first_frame;
     report.total.failure_seconds = -1.0;
 
     const auto t0 = Clock::now();
-    std::uint64_t next = config.first_frame;
+    std::uint64_t next = 0;
     // Engaged while a drain-based recovery is in flight: from failure
     // detection until the first post-recovery frame reaches the drain.
     std::optional<Clock::time_point> recovering_since;
@@ -601,7 +602,6 @@ RecoveryReport run_with_recovery(TaskSequence<T>& sequence, Controller& controll
         // The loss step already declined this change in flight: rebuild.
         const auto swap_begin = Clock::now();
         pipeline.reset(); // join the old workers before spawning new ones
-        config.first_frame = next;
         pipeline = std::make_unique<Pipeline<T>>(sequence, controller.solution(), config);
         ++report.rebuild_swaps;
         report.swap_seconds += seconds_since(swap_begin);

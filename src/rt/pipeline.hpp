@@ -47,8 +47,13 @@
 // producing, a scavenger flushes the dead stage's input in stream order (as
 // tombstones), and the run returns a degraded-but-ordered result instead of
 // aborting. Transient task failures are absorbed by a bounded retry with
-// exponential backoff. A run that ends early reports `stream_end`, the exact
-// resume point for the next segment (see rt/controller.hpp).
+// exponential backoff. A throw that escapes on any thread of a run -- a task
+// past its retries, the monitor hook, the loss handler -- ends the run, and
+// run() rethrows it on the caller's thread.
+//
+// run() covers frames [0, num_frames). A run that ends early reports
+// `stream_end`, the exact resume point that run_from takes for the next
+// segment (see rt/controller.hpp).
 
 #include "core/chain.hpp"
 #include "core/solution.hpp"
@@ -71,6 +76,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -81,12 +87,6 @@ namespace amp::rt {
 struct PipelineConfig {
     std::size_t queue_capacity = 8;      ///< per-adaptor buffered frames
     CoreEmulator* emulator = nullptr;    ///< optional core-type emulation
-
-    /// First frame of the stream this run produces: frames [first_frame,
-    /// num_frames) flow through the pipeline. Non-zero when resuming a
-    /// stream after a failure (the new pipeline picks up at the previous
-    /// run's `stream_end`).
-    std::uint64_t first_frame = 0;
 
     /// Optional fault injection hooks (tests, recovery benchmarks).
     FaultInjector* faults = nullptr;
@@ -130,7 +130,7 @@ struct RunResult {
     std::uint64_t retries = 0;        ///< transient faults absorbed by retry
     /// One past the last stream position this run accounted for (delivered
     /// or dropped). Equals the requested frame count on a full run; on a
-    /// degraded early drain it is the exact `first_frame` to resume from.
+    /// degraded early drain it is the exact frame to resume from (run_from).
     std::uint64_t stream_end = 0;
     /// Time from run start to the first worker loss; negative when healthy.
     double failure_seconds = -1.0;
@@ -186,17 +186,17 @@ public:
                 worker->thread.join();
     }
 
-    /// Processes frames [config.first_frame, num_frames) end to end.
-    /// `on_output` (optional) is invoked on the main thread, in stream
-    /// order, with each final frame.
+    /// Processes frames [0, num_frames) end to end. `on_output` (optional)
+    /// is invoked on the main thread, in stream order, with each final
+    /// frame. Rethrows the first exception any thread of the run threw.
     RunResult run(std::uint64_t num_frames, const std::function<void(T&)>& on_output = {})
     {
-        return run_from(config_.first_frame, num_frames, on_output);
+        return run_from(0, num_frames, on_output);
     }
 
-    /// Like run(), but resumes the stream at `first_frame` (ignores
-    /// config.first_frame). Used by run_with_recovery to continue a stream
-    /// on the same pipeline after a retarget.
+    /// Like run(), but covers frames [first_frame, num_frames): resumes a
+    /// stream a degraded run cut short at its `stream_end`, as
+    /// run_with_recovery does on every segment.
     RunResult run_from(std::uint64_t first_frame, std::uint64_t num_frames,
                        const std::function<void(T&)>& on_output = {})
     {
@@ -217,7 +217,6 @@ public:
 
         // -- reset the per-segment state (all workers are parked) ---------
         st.num_frames = num_frames;
-        st.first_frame = first_frame;
         st.next_frame.store(first_frame);
         st.retries.store(0);
         st.stop_source.store(false);
@@ -278,7 +277,7 @@ public:
 
         std::thread watchdog;
         if (config_.heartbeat_timeout.count() > 0 || monitor_hook_)
-            watchdog = std::thread{[this, &st] { watchdog_loop(st); }};
+            watchdog = guarded(st, [this, &st] { watchdog_loop(st); });
 
         // Drain the final queue in order on this thread. Tombstones are
         // frames lost to worker failures; they keep the stream contiguous
@@ -438,7 +437,7 @@ public:
     }
 
     /// Total worker threads ever spawned by this pipeline (monotone; a
-    /// retarget adds the workers it spawned).
+    /// retarget adds the workers it spawned). Also the next worker id.
     [[nodiscard]] int spawned_workers() const noexcept { return spawned_total_.load(); }
 
 private:
@@ -520,7 +519,6 @@ private:
         std::atomic<bool> end_pushed{false};
         std::atomic<bool> over{false}; ///< segment finished (drain + park done)
         std::uint64_t num_frames = 0;
-        std::uint64_t first_frame = 0;
         /// Workers participating in this segment (parked_ must reach it
         /// before the segment ends). Guarded by epoch_mutex_: in-flight
         /// spawns increment it while the main thread waits on parked_cv_.
@@ -635,8 +633,7 @@ private:
         const auto& specs = plan_->queues();
         queues_.reserve(specs.size());
         for (const plan::QueueSpec& spec : specs)
-            queues_.push_back(
-                std::make_unique<OrderedQueue<T>>(spec.capacity, config_.first_frame));
+            queues_.push_back(std::make_unique<OrderedQueue<T>>(spec.capacity));
 
         // Queue wiring follows the plan's DAG: each stage reads its
         // in_queues (fan-in stages behind a merge gate) and writes every
@@ -684,7 +681,7 @@ private:
     void spawn_worker(int stage)
     {
         auto worker = std::make_unique<Worker>();
-        worker->id = worker_ids_issued_++;
+        worker->id = spawned_total_.fetch_add(1);
         worker->stage = stage;
         const core::Stage& spec = stages_[static_cast<std::size_t>(stage)];
         if (originals_free(stage)) {
@@ -720,7 +717,6 @@ private:
         Worker* raw = worker.get();
         worker->thread = std::thread{[this, raw, born_epoch] { worker_main(*raw, born_epoch); }};
         workers_.push_back(std::move(worker));
-        spawned_total_.fetch_add(1);
     }
 
     /// Neither fenced, retired nor exited: the worker counts toward its
@@ -976,13 +972,8 @@ private:
     void run_segment(Worker& me)
     {
         SegmentState& st = seg_;
-        const core::Stage& stage = stages_[static_cast<std::size_t>(me.stage)];
-        StageIO& io = io_[static_cast<std::size_t>(me.stage)];
         try {
-            if (io.ins.empty())
-                source_loop(st, me, stage, me.tasks, io);
-            else
-                stage_loop(st, me, stage, me.tasks, io);
+            stage_loop(st, me);
         } catch (...) {
             me.exited.store(true);
             record_error(st, std::current_exception());
@@ -999,6 +990,22 @@ private:
         }
         for (auto& queue : queues_)
             queue->abort();
+    }
+
+    /// Starts one of the segment's own threads (the watchdog, a scavenger)
+    /// behind the workers' exception boundary: a throw -- from the monitor
+    /// hook, the loss handler or a fan-in merge -- ends the segment, and
+    /// run_from rethrows it on the caller's thread.
+    template <typename Body>
+    std::thread guarded(SegmentState& st, Body body)
+    {
+        return std::thread{[this, &st, body = std::move(body)] {
+            try {
+                body();
+            } catch (...) {
+                record_error(st, std::current_exception());
+            }
+        }};
     }
 
     /// Decrements the stage's live-worker count exactly once per worker.
@@ -1033,7 +1040,7 @@ private:
     /// Runs the stage's tasks on one frame with the bounded-retry policy.
     /// Throws (the last failure) once the retry budget is exhausted.
     void process_frame(SegmentState& st, Worker& me, const core::Stage& stage,
-                       const std::vector<Task<T>*>& tasks, Envelope<T>& envelope)
+                       Envelope<T>& envelope)
     {
         constexpr bool restorable =
             std::is_copy_constructible_v<T> && std::is_copy_assignable_v<T>;
@@ -1044,7 +1051,7 @@ private:
         }
         for (int attempt = 0;; ++attempt) {
             try {
-                run_tasks(stage, tasks, envelope.payload, envelope.seq);
+                run_tasks(stage, me.tasks, envelope.payload, envelope.seq);
                 return;
             } catch (...) {
                 if (attempt >= config_.max_task_retries)
@@ -1119,75 +1126,55 @@ private:
         };
     }
 
-    /// Pops the next input envelope for a stage: through the merge gate for
-    /// fan-in stages, straight off the single input queue otherwise. The
-    /// result mirrors OrderedQueue::PopResult (timed_out / done / envelope).
-    typename FanInGate<T>::Result pop_input(SegmentState& st, Worker& me, StageIO& io)
+    /// Pops a stage's next input envelope: through the merge gate for
+    /// fan-in stages, straight off the single input queue otherwise. Each
+    /// wait is bounded by `slice`; between slices the gate runs `on_wait`
+    /// and gives up its round once `cancelled()`. The result mirrors
+    /// OrderedQueue::PopResult (timed_out / done / envelope).
+    template <typename OnWait, typename Cancelled>
+    static typename FanInGate<T>::Result pop_input(StageIO& io, std::chrono::milliseconds slice,
+                                                   OnWait&& on_wait, Cancelled&& cancelled)
     {
         if (io.gate != nullptr)
-            return io.gate->pop_round(
-                st.beat_interval, [&] { beat(st, me); },
-                [&] { return me.fenced.load() || me.dismissed.load(); });
-        auto popped = io.ins.front()->try_pop_for(st.beat_interval);
+            return io.gate->pop_round(slice, on_wait, cancelled);
+        auto popped = io.ins.front()->try_pop_for(slice);
         return {std::move(popped.envelope), popped.done};
     }
 
-    void source_loop(SegmentState& st, Worker& me, const core::Stage& stage,
-                     const std::vector<Task<T>*>& tasks, StageIO& io)
+    /// The envelope a worker takes next. A source stage claims the next
+    /// stream position: a data frame below num_frames, the end marker at
+    /// num_frames (for its single claimant), nothing (done) once the
+    /// stream is stopped or past its end. Every other stage pops its input.
+    typename FanInGate<T>::Result next_input(SegmentState& st, Worker& me, StageIO& io)
     {
-        for (;;) {
-            beat(st, me);
-            if (me.fenced.load())
-                return; // watchdog already did the bookkeeping
-            if (me.dismissed.load())
-                break; // retired by an in-flight swap: previous frame was our last
-            if (st.stop_source.load())
-                break;
-            const std::uint64_t seq = st.next_frame.fetch_add(1, std::memory_order_relaxed);
-            if (seq >= st.num_frames) {
-                if (seq == st.num_frames && !st.end_pushed.exchange(true))
-                    push_all_with_beat(st, me, io.outs,
-                                       Envelope<T>::end_of_stream(st.num_frames));
-                break;
-            }
-            me.holding.store(seq);
-            if (config_.faults != nullptr) {
-                if (config_.faults->should_kill(me.id, seq))
-                    return; // silent death, frame still held -> watchdog recovers
-                const auto stall = config_.faults->stall_before(me.id, seq);
-                if (stall.count() > 0)
-                    std::this_thread::sleep_for(stall);
-            }
+        if (!io.ins.empty())
+            return pop_input(io, st.beat_interval, [&] { beat(st, me); },
+                             [&] { return me.fenced.load() || me.dismissed.load(); });
+        if (st.stop_source.load())
+            return {std::nullopt, true};
+        const std::uint64_t seq = st.next_frame.fetch_add(1, std::memory_order_relaxed);
+        if (seq < st.num_frames) {
             Envelope<T> envelope = Envelope<T>::data(seq, T{});
             if constexpr (requires(T& p) { p.seq = seq; })
                 envelope.payload.seq = seq; // payloads may carry their identity
-            std::chrono::steady_clock::time_point span_begin{};
-            if (st.obs.active)
-                span_begin = std::chrono::steady_clock::now();
-            process_frame(st, me, stage, tasks, envelope);
-            if (st.obs.active)
-                obs_record_span(st, me, span_begin, std::chrono::steady_clock::now(), seq);
-            beat(st, me);
-            if (me.holding.exchange(kNoFrame) == kNoFrame)
-                return; // watchdog presumed us dead and tombstoned the frame
-            if (!push_all_with_beat(st, me, io.outs, std::move(envelope)))
-                break;
+            return {std::move(envelope), false};
         }
-        me.exited.store(true);
-        // The last source out owns the end-of-stream marker when the stream
-        // was cut short (stop_source or failures); on a full run the claimant
-        // of seq == num_frames already pushed it above.
-        if (retire(st, me) && !st.end_pushed.exchange(true)) {
-            const std::uint64_t end_seq = std::min(st.next_frame.load(), st.num_frames);
-            push_all_with_beat(st, me, io.outs, Envelope<T>::end_of_stream(end_seq));
-        }
+        if (seq == st.num_frames && !st.end_pushed.exchange(true))
+            return {Envelope<T>::end_of_stream(seq), false};
+        return {std::nullopt, true};
     }
 
-    void stage_loop(SegmentState& st, Worker& me, const core::Stage& stage,
-                    const std::vector<Task<T>*>& tasks, StageIO& io)
+    /// One worker's segment: take the next input, run the stage's tasks on
+    /// it and push it on, until the stream ends for this worker.
+    void stage_loop(SegmentState& st, Worker& me)
     {
+        const core::Stage& stage = stages_[static_cast<std::size_t>(me.stage)];
+        StageIO& io = io_[static_cast<std::size_t>(me.stage)];
+        const bool source = io.ins.empty();
         // Input-wait accounting spans timed-out pops: the clock starts when
-        // the worker first goes hungry and stops at the successful pop.
+        // the worker first goes hungry and stops at the successful pop. A
+        // source claims its frames and never waits for input.
+        const bool time_waits = !source && !st.obs.queue_wait.empty();
         std::chrono::steady_clock::time_point wait_from{};
         bool waiting = false;
         for (;;) {
@@ -1196,23 +1183,22 @@ private:
                 return;
             if (me.dismissed.load())
                 break; // retired by an in-flight swap: previous frame was our last
-            if (st.obs.active && !waiting) {
+            if (time_waits && !waiting) {
                 wait_from = std::chrono::steady_clock::now();
                 waiting = true;
             }
-            auto popped = pop_input(st, me, io);
-            if (popped.timed_out())
+            auto input = next_input(st, me, io);
+            if (input.timed_out())
                 continue;
-            if (st.obs.active) {
+            if (time_waits) {
                 waiting = false;
-                if (!st.obs.queue_wait.empty())
-                    st.obs.queue_wait[static_cast<std::size_t>(me.stage)]->record_duration(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - wait_from));
+                st.obs.queue_wait[static_cast<std::size_t>(me.stage)]->record_duration(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - wait_from));
             }
-            if (popped.done)
-                break; // aborted, or a sibling forwarded the end marker
-            Envelope<T> envelope = std::move(*popped.envelope);
+            if (input.done)
+                break; // stopped, aborted, or a sibling took the end marker
+            Envelope<T> envelope = std::move(*input.envelope);
             if (envelope.end) {
                 push_all_with_beat(st, me, io.outs, std::move(envelope));
                 break;
@@ -1233,7 +1219,7 @@ private:
             std::chrono::steady_clock::time_point span_begin{};
             if (st.obs.active)
                 span_begin = std::chrono::steady_clock::now();
-            process_frame(st, me, stage, tasks, envelope);
+            process_frame(st, me, stage, envelope);
             if (st.obs.active)
                 obs_record_span(st, me, span_begin, std::chrono::steady_clock::now(),
                                 envelope.seq);
@@ -1244,7 +1230,21 @@ private:
                 break;
         }
         me.exited.store(true);
-        (void)retire(st, me);
+        if (retire(st, me) && source)
+            close_stream(st, io);
+    }
+
+    /// Ends a source stage's output when the stream was cut short: one end
+    /// marker past every claimed position, from the stage's last worker out
+    /// or from the watchdog. A no-op once the claimant of num_frames (a
+    /// full run) or an earlier call pushed it.
+    static void close_stream(SegmentState& st, StageIO& io)
+    {
+        if (st.end_pushed.exchange(true))
+            return;
+        const std::uint64_t end_seq = std::min(st.next_frame.load(), st.num_frames);
+        for (OrderedQueue<T>* out : io.outs)
+            out->force_push(Envelope<T>::end_of_stream(end_seq));
     }
 
     // -- watchdog ---------------------------------------------------------
@@ -1331,9 +1331,13 @@ private:
                                            me.stage);
             }
         }
+        // Control envelopes from the watchdog and the scavengers are force-
+        // pushed: a fence blocked on a full queue would hold up the next
+        // fence, whose tombstone may fill the very hole the consumer waits
+        // on (docs/FAULT_MODEL.md §3).
         if (held != kNoFrame)
             for (OrderedQueue<T>* out : io_[static_cast<std::size_t>(me.stage)].outs)
-                watchdog_push(st, *out, Envelope<T>::tombstone(held));
+                out->force_push(Envelope<T>::tombstone(held));
         const bool stage_empty = retire(st, me);
         // Give the loss handler (rt::run_with_recovery) a chance to restore
         // the pipeline with an in-flight frame swap before falling back to
@@ -1353,15 +1357,11 @@ private:
         st.stop_source.store(true);
         StageIO& io = io_[static_cast<std::size_t>(stage)];
         if (io.ins.empty()) { // the source itself died: just close the stream
-            if (!st.end_pushed.exchange(true)) {
-                const std::uint64_t end_seq = std::min(st.next_frame.load(), st.num_frames);
-                for (OrderedQueue<T>* out : io.outs)
-                    watchdog_push(st, *out, Envelope<T>::end_of_stream(end_seq));
-            }
+            close_stream(st, io);
             return;
         }
         std::lock_guard lock{st.scavenger_mutex};
-        st.scavengers.emplace_back([this, &st, stage] { scavenge(st, stage); });
+        st.scavengers.push_back(guarded(st, [this, &st, stage] { scavenge(st, stage); }));
     }
 
     /// Stands in for a fully-dead stage: converts its input frames into
@@ -1372,41 +1372,19 @@ private:
     {
         StageIO& io = io_[static_cast<std::size_t>(stage)];
         for (;;) {
-            typename FanInGate<T>::Result popped;
-            if (io.gate != nullptr) {
-                popped = io.gate->pop_round(
-                    std::chrono::milliseconds{5}, [] {}, [&] { return st.over.load(); });
-            } else {
-                auto r = io.ins.front()->try_pop_for(std::chrono::milliseconds{5});
-                popped = {std::move(r.envelope), r.done};
-            }
-            if (popped.timed_out()) {
-                if (st.over.load())
-                    return;
-                continue;
-            }
-            if (popped.done)
+            auto popped = pop_input(
+                io, std::chrono::milliseconds{5}, [] {}, [&] { return st.over.load(); });
+            if (popped.done || (popped.timed_out() && st.over.load()))
                 return;
+            if (popped.timed_out())
+                continue;
             const Envelope<T>& envelope = *popped.envelope;
             for (OrderedQueue<T>* out : io.outs)
-                watchdog_push(st, *out,
-                              envelope.end ? Envelope<T>::end_of_stream(envelope.seq)
-                                           : Envelope<T>::tombstone(envelope.seq));
+                out->force_push(envelope.end ? Envelope<T>::end_of_stream(envelope.seq)
+                                             : Envelope<T>::tombstone(envelope.seq));
             if (envelope.end)
                 return;
         }
-    }
-
-    /// Push used by the watchdog and scavengers -- always a tombstone or an
-    /// end-of-stream marker, delivered unconditionally. It must never block:
-    /// the watchdog fences stale workers one at a time, and a fence blocked
-    /// on a full queue would keep the *next* fence (whose tombstone may be
-    /// the very hole the consumer is stuck on) from ever happening -- a
-    /// deadlock we hit in practice when two workers died close together
-    /// with the survivor keeping the output queue at capacity.
-    void watchdog_push(SegmentState&, OrderedQueue<T>& queue, Envelope<T> envelope)
-    {
-        queue.force_push(std::move(envelope));
     }
 
     TaskSequence<T>& sequence_;
@@ -1421,7 +1399,6 @@ private:
     std::vector<std::unique_ptr<FanInGate<T>>> gates_;
     OrderedQueue<T>* drain_ = nullptr; ///< the queue run_from consumes
     std::vector<std::unique_ptr<Worker>> workers_;
-    int worker_ids_issued_ = 0;
     std::atomic<int> spawned_total_{0};
     bool materialized_ = false;
 

@@ -9,7 +9,8 @@
 // Controller.*: one budget for every event -- a fence shrinks the budget
 // the next grow starts from, an arbiter grant sets the budget a load step
 // starts from, on_resize pushes from the watchdog race rearbitration
-// without a lock-order deadlock, and a DAG plan cannot be bound.
+// without a lock-order deadlock, a throwing on_resize ends the run, and a
+// DAG plan cannot be bound.
 
 #include "arb/arbiter.hpp"
 #include "plan/execution_plan.hpp"
@@ -536,6 +537,39 @@ TEST(Controller, WatchdogQuotaPushesRaceRearbitrationWithoutDeadlock)
     EXPECT_GT(controller.samples(), 0u);
     EXPECT_GT(pushes.load(), 0);
     EXPECT_GT(rearbitrations.load(), 0);
+}
+
+// attach() runs load steps on the watchdog thread, and with them
+// on_resize: its throw ends the run and run() rethrows it, as it does a
+// task's.
+TEST(Controller, ThrowingOnResizeEndsTheRunAndRethrows)
+{
+    const TaskChain chain = resize_only_chain();
+    auto seq = make_sequence(5, /*sleep_us=*/50);
+    svc::SolverService service{svc::ServiceConfig{}};
+    rt::Pipeline<Frame> pipeline{seq, *plan_for(service, chain, {0, 4}).plan,
+                                 rt::PipelineConfig{}};
+
+    rt::ControlConfig config;
+    config.policy = live_policy();
+    config.policy.patience = 1;
+    config.policy.shrink_below = 2.0; // the first sample shrinks (0, 4) -> (0, 3)
+    config.service = &service;
+    int resizes = 0; // written by the watchdog, read after run()
+    config.on_resize = [&](Resources) {
+        ++resizes;
+        throw std::invalid_argument{"on_resize"};
+    };
+    rt::Controller controller{chain, {0, 4}, config};
+    rt::PipelineControl<Frame> binding{controller, pipeline};
+    binding.attach();
+
+    // The stream outlasts the first monitor pass by far: only the throw
+    // ends it.
+    EXPECT_THROW((void)pipeline.run(100'000, [](Frame&) {}), std::invalid_argument);
+    binding.detach();
+    EXPECT_EQ(resizes, 1);
+    EXPECT_EQ(controller.budget(), (Resources{0, 3})) << "the step adopted its budget first";
 }
 
 TEST(Controller, BindingADagPlanThrows)

@@ -2,12 +2,15 @@
 
 #include "obs/schema.hpp"
 #include "obs/sink.hpp"
+#include "plan/execution_plan.hpp"
+#include "plan/graph_shape.hpp"
 #include "rt/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -258,6 +261,126 @@ TEST(FaultPipeline, KilledSoleWorkerTriggersGracefulDrain)
         EXPECT_EQ(delivered[i], i) << "delivered frames stay contiguous and ordered";
 }
 
+/// Two stateless tasks; task 1 sleeps, so both replicas of a replicated
+/// source stage draw frames and a kill aimed at either one fires.
+TaskSequence<Frame> make_slow_source_sequence()
+{
+    TaskSequence<Frame> seq;
+    seq.push_back(make_task<Frame>("t1", false, [](Frame& f) {
+        std::this_thread::sleep_for(std::chrono::microseconds{50});
+        f.value += 1;
+    }));
+    seq.push_back(make_task<Frame>("t2", false, [](Frame& f) { f.value += 2; }));
+    return seq;
+}
+
+/// Workers in stage-major order: 0 and 1 = source replicas, 2 = stage 1.
+const Solution kReplicatedSource{
+    {Stage{1, 1, 2, CoreType::big}, Stage{2, 2, 1, CoreType::big}}};
+
+/// Every position before the run's stream_end was delivered or
+/// tombstoned, and the delivered frames are 0, 1, 2, ... with no gap.
+void expect_contiguous_prefix(const RunResult& result,
+                              const std::vector<std::uint64_t>& delivered)
+{
+    EXPECT_EQ(result.frames + result.frames_dropped, result.stream_end);
+    for (std::size_t i = 0; i < delivered.size(); ++i)
+        EXPECT_EQ(delivered[i], i) << "delivered frames stay contiguous and ordered";
+}
+
+// Stage 1 loses its only worker behind a two-replica source: the drain
+// stops both replicas, the last one out closes the stream after every
+// position the two claimed, and the run returns cut short.
+TEST(FaultPipeline, ReplicatedSourceIsCutShortByADeadStage)
+{
+    constexpr std::uint64_t kFrames = 300;
+    auto seq = make_slow_source_sequence();
+    FaultInjector injector;
+    injector.add(FaultSpec{FaultKind::kill, 10, 0, 2, 1, milliseconds{0}});
+    PipelineConfig config;
+    config.faults = &injector;
+    config.heartbeat_timeout = milliseconds{100};
+
+    Pipeline<Frame> pipeline{seq, kReplicatedSource, config};
+    std::vector<std::uint64_t> delivered;
+    const auto result = pipeline.run(kFrames, [&](Frame& f) { delivered.push_back(f.seq); });
+
+    ASSERT_EQ(result.losses.size(), 1u);
+    EXPECT_EQ(result.losses[0].worker, 2);
+    EXPECT_EQ(result.losses[0].stage, 1);
+    EXPECT_LT(result.stream_end, kFrames) << "the stream was cut short, not completed";
+    EXPECT_GE(result.frames_dropped, 1u) << "at least the held frame is lost";
+    expect_contiguous_prefix(result, delivered);
+}
+
+// One source replica dies holding a frame: the fence tombstones that frame
+// and its sibling carries the stream to the end.
+TEST(FaultPipeline, KilledSourceReplicaLeavesOneTombstone)
+{
+    constexpr std::uint64_t kFrames = 200;
+    auto seq = make_slow_source_sequence();
+    FaultInjector injector;
+    injector.add(FaultSpec{FaultKind::kill, 5, 0, 1, 1, milliseconds{0}});
+    PipelineConfig config;
+    config.faults = &injector;
+    config.heartbeat_timeout = milliseconds{100};
+
+    Pipeline<Frame> pipeline{seq, kReplicatedSource, config};
+    std::vector<std::uint64_t> delivered;
+    const auto result = pipeline.run(kFrames, [&](Frame& f) { delivered.push_back(f.seq); });
+
+    ASSERT_EQ(result.losses.size(), 1u);
+    EXPECT_EQ(result.losses[0].worker, 1);
+    EXPECT_EQ(result.losses[0].stage, 0);
+    const std::uint64_t held = result.losses[0].held_frame;
+    EXPECT_GE(held, 5u);
+    EXPECT_LT(held, kFrames);
+    EXPECT_EQ(result.frames_dropped, 1u) << "only the held frame is lost";
+    EXPECT_EQ(result.frames, kFrames - 1);
+    EXPECT_EQ(result.stream_end, kFrames);
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t s = 0; s < kFrames; ++s)
+        if (s != held)
+            expected.push_back(s);
+    EXPECT_EQ(delivered, expected) << "every frame but the held one, in order";
+}
+
+// A DAG plan src -> {a, b} -> sink whose fan-in sink loses its only
+// worker: the scavenger pops the sink's two inputs through the FanInGate
+// and the run returns cut short, in order.
+TEST(FaultPipeline, DeadFanInStageDrainsThroughTheGate)
+{
+    constexpr std::uint64_t kFrames = 300;
+    auto seq = make_sequence(4);
+    amp::plan::GraphShape shape;
+    shape.chain = amp::plan::ChainShape{4, {true, true, true, true}};
+    shape.branches = {
+        amp::plan::GraphBranch{0, 1, 1, {}, {1, 2}},
+        amp::plan::GraphBranch{1, 2, 2, {0}, {3}},
+        amp::plan::GraphBranch{2, 3, 3, {0}, {3}},
+        amp::plan::GraphBranch{3, 4, 4, {1, 2}, {}},
+    };
+    const Solution one_big{{Stage{1, 1, 1, CoreType::big}}};
+    FaultInjector injector;
+    // Workers in stage-major order: 0 = src, 1 = a, 2 = b, 3 = sink.
+    injector.add(FaultSpec{FaultKind::kill, 10, 0, 3, 1, milliseconds{0}});
+    PipelineConfig config;
+    config.faults = &injector;
+    config.heartbeat_timeout = milliseconds{100};
+
+    Pipeline<Frame> pipeline{
+        seq, amp::plan::ExecutionPlan::compile(shape, {one_big, one_big, one_big, one_big}),
+        config};
+    std::vector<std::uint64_t> delivered;
+    const auto result = pipeline.run(kFrames, [&](Frame& f) { delivered.push_back(f.seq); });
+
+    ASSERT_EQ(result.losses.size(), 1u);
+    EXPECT_EQ(result.losses[0].stage, 3);
+    EXPECT_LT(result.stream_end, kFrames) << "the stream was cut short, not completed";
+    EXPECT_GE(result.frames_dropped, 1u) << "at least the held frame is lost";
+    expect_contiguous_prefix(result, delivered);
+}
+
 TEST(FaultPipeline, LivenessFaultsRequireTheWatchdog)
 {
     auto seq = make_sequence(2);
@@ -267,6 +390,53 @@ TEST(FaultPipeline, LivenessFaultsRequireTheWatchdog)
     config.faults = &injector; // heartbeat_timeout left at zero
     EXPECT_THROW((Pipeline<Frame>{seq, Solution{{Stage{1, 2, 1, CoreType::big}}}, config}),
                  std::invalid_argument);
+}
+
+// -- exceptions on the watchdog ------------------------------------------
+
+// The monitor hook runs on the watchdog thread: its throw ends the run and
+// run() rethrows it, as it does a task's, and the pipeline runs on.
+TEST(FaultPipeline, ThrowingMonitorHookEndsTheRunAndRethrows)
+{
+    auto seq = make_replica_sequence();
+    Pipeline<Frame> pipeline{seq, kReplicatedStage1};
+    int calls = 0; // written by the watchdog, read after run()
+    pipeline.set_monitor_hook([&](double) {
+        if (++calls == 3)
+            throw std::invalid_argument{"monitor hook"};
+    });
+    // The stream outlasts three 2 ms ticks by far: only the throw ends it.
+    EXPECT_THROW((void)pipeline.run(100'000), std::invalid_argument);
+    EXPECT_EQ(calls, 3);
+
+    const auto result = pipeline.run(100);
+    EXPECT_EQ(result.frames, 100u);
+    EXPECT_EQ(result.stream_end, 100u);
+}
+
+// The loss handler runs on the watchdog thread inside a fence: its throw
+// ends the run and run() rethrows it.
+TEST(FaultPipeline, ThrowingLossHandlerEndsTheRunAndRethrows)
+{
+    auto seq = make_sequence(2);
+    const Solution solution{{Stage{1, 1, 1, CoreType::big}, Stage{2, 2, 1, CoreType::big}}};
+    FaultInjector injector;
+    injector.add(FaultSpec{FaultKind::kill, 10, 0, 1, 1, milliseconds{0}});
+    PipelineConfig config;
+    config.faults = &injector;
+    config.heartbeat_timeout = milliseconds{100};
+
+    Pipeline<Frame> pipeline{seq, solution, config};
+    std::vector<WorkerLoss> losses; // written by the watchdog, read after run()
+    pipeline.set_loss_handler([&](const WorkerLoss& loss) -> bool {
+        losses.push_back(loss);
+        throw std::runtime_error{"loss handler"};
+    });
+    // Frame 10 never reaches the drain: only the fence can end the run.
+    EXPECT_THROW((void)pipeline.run(200), std::runtime_error);
+    ASSERT_EQ(losses.size(), 1u);
+    EXPECT_EQ(losses[0].worker, 1);
+    EXPECT_EQ(losses[0].held_frame, 10u);
 }
 
 } // namespace

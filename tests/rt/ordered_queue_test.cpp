@@ -476,16 +476,18 @@ TEST(OrderedQueueHandoff, SeededOracleDeliversExactlyOnceInOrder)
 /// Pops frames pushed at a steady pace, in rounds of 40, until a wait was
 /// polled (at most ten rounds), so the queue has a push history and a
 /// measured guard even when other tests load the host. A wait polls only
-/// while four guards fit in the gap, so each round paces its pushes at
-/// five times the guard measured so far, and at least 1 ms: a loaded or
-/// instrumented host whose timed sleeps oversleep by more than a quarter
-/// of a millisecond gets wider gaps instead of a wait that may not poll.
+/// while four guards fit in the gap, and finds its frame by polling only
+/// when the push lands within one guard of the predicted arrival. So each
+/// round paces its pushes at ten times the guard measured so far, and at
+/// least 1 ms: on a loaded or instrumented host, whose timed sleeps
+/// oversleep and whose producer jitters, the gaps widen with the guard
+/// instead of leaving no wait that polls.
 void pop_a_paced_stream(OrderedQueue<int>& queue)
 {
     std::uint64_t seq = 0;
     for (int round = 0; round < 10 && queue.handoffs().polled == 0; ++round) {
         const Clock::duration pace =
-            std::max<Clock::duration>(milliseconds{1}, 5 * queue.handoffs().guard);
+            std::max<Clock::duration>(milliseconds{1}, 10 * queue.handoffs().guard);
         std::thread producer{[&queue, first = seq, pace] {
             const Clock::time_point start = Clock::now();
             for (int i = 0; i < 40; ++i) {
